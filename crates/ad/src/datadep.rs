@@ -1,6 +1,6 @@
 //! Static data-dependency analysis over a recorded tape.
 //!
-//! [`Tape::reachable`] answers one question — "does a data-flow path
+//! [`Tape::reachable_sweep`] answers one question — "does a data-flow path
 //! connect this node to the output?" — and the AutoCheck line of work
 //! (see PAPERS.md) shows that question *alone*, with no derivative
 //! values, already yields a usable critical/uncritical verdict. This
@@ -38,7 +38,7 @@ use crate::tape::Tape;
 
 /// Result of a static data-dependency analysis of one tape.
 ///
-/// Produced by [`Tape::datadep`] / [`Tape::datadep_sweep`]. Holds one
+/// Produced by [`Tape::datadep_sweep`]. Holds one
 /// liveness bit and one def-use bit per node; no adjoint values are ever
 /// computed.
 #[derive(Debug)]
@@ -189,11 +189,7 @@ pub(crate) fn analyze(
         None => {
             // Same contract as the value sweep: a poisoned tape is an
             // error even when the output folded to a constant.
-            if tape.overflowed() {
-                return Err(AdError::TapeOverflow {
-                    limit: tape.node_limit(),
-                });
-            }
+            tape.check_not_overflowed()?;
             (vec![false; tape.len()], sweep::constant_stats())
         }
     };
@@ -242,8 +238,8 @@ mod tests {
         let dead = Adj::leaf(5.0); // never consumed
         let out = x * y + 1.0;
         let tape = s.finish();
-        let dd = tape.datadep(out).unwrap();
-        let reach = tape.reachable(out).unwrap();
+        let dd = tape.datadep_sweep(out, SweepConfig::default()).unwrap();
+        let reach = tape.reachable_sweep(out, SweepConfig::default()).unwrap().0;
         assert_eq!(dd.live_bits(), &reach[..]);
         assert!(dd.live(x.index().unwrap()) && dd.used(x.index().unwrap()));
         assert!(!dd.live(dead.index().unwrap()));
@@ -260,7 +256,7 @@ mod tests {
         let b = a + 1.0; // node 2
         let out = b * b; // node 3
         let tape = s.finish();
-        let dd = tape.datadep(out).unwrap();
+        let dd = tape.datadep_sweep(out, SweepConfig::default()).unwrap();
         let w = dd.witness_path(&tape, x.index().unwrap(), 16).unwrap();
         assert_eq!(w.nodes, vec![0, 1, 2, 3]);
         assert_eq!(w.hops, 3);
@@ -280,7 +276,7 @@ mod tests {
         let dead = Adj::leaf(7.0);
         let out = x * x;
         let tape = s.finish();
-        let dd = tape.datadep(out).unwrap();
+        let dd = tape.datadep_sweep(out, SweepConfig::default()).unwrap();
         assert!(dd.witness_path(&tape, dead.index().unwrap(), 16).is_none());
     }
 
@@ -292,7 +288,7 @@ mod tests {
         let out = a.rmax(b) * 2.0;
         let tape = s.finish();
         let g = tape.gradient(out).unwrap();
-        let dd = tape.datadep(out).unwrap();
+        let dd = tape.datadep_sweep(out, SweepConfig::default()).unwrap();
         assert_eq!(g.wrt(b), 0.0);
         assert!(dd.live(b.index().unwrap()));
         let w = dd.witness_path(&tape, b.index().unwrap(), 16).unwrap();
@@ -307,7 +303,7 @@ mod tests {
         let x = Adj::leaf(1.0);
         let c = Adj::constant(2.0) * 3.0;
         let tape = s.finish();
-        let dd = tape.datadep(c).unwrap();
+        let dd = tape.datadep_sweep(c, SweepConfig::default()).unwrap();
         assert_eq!(dd.seed(), None);
         assert!(!dd.live(x.index().unwrap()));
         assert_eq!(dd.live_count(), 0);
@@ -328,23 +324,32 @@ mod tests {
         }
         let tape = s.finish();
         assert_eq!(
-            tape.datadep(y).unwrap_err(),
+            tape.datadep_sweep(y, SweepConfig::default()).unwrap_err(),
             AdError::TapeOverflow { limit: 4 }
         );
         // Constant output on a poisoned tape is still an error.
         assert_eq!(
-            tape.datadep(Adj::constant(1.0)).unwrap_err(),
+            tape.datadep_sweep(Adj::constant(1.0), SweepConfig::default())
+                .unwrap_err(),
             AdError::TapeOverflow { limit: 4 }
         );
     }
 
     #[test]
     fn out_of_range_seed_is_a_typed_error() {
+        // A node of a longer recording seeds past the end of this tape.
+        let s = TapeSession::new();
+        let mut far = Adj::leaf(1.0);
+        for _ in 0..9 {
+            far *= 2.0;
+        }
+        drop(s.finish());
+        assert_eq!(far.index(), Some(9));
         let s = TapeSession::new();
         let _x = Adj::leaf(1.0);
         let tape = s.finish();
         assert_eq!(
-            tape.datadep_of(9, SweepConfig::default()).unwrap_err(),
+            tape.datadep_sweep(far, SweepConfig::default()).unwrap_err(),
             AdError::NodeOutOfRange { node: 9, len: 1 }
         );
     }

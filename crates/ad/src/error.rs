@@ -37,8 +37,8 @@ pub enum AdError {
     },
     /// A sweep reached a segment that was evicted under a
     /// [`crate::TapeCheckpointConfig`] but no replay closure was
-    /// registered to re-record it (use the `*_replay` sweep entry
-    /// points on a checkpointed tape).
+    /// registered to re-record it (set [`crate::SweepOptions::replay`]
+    /// when sweeping a checkpointed tape).
     SegmentEvicted {
         /// The evicted segment the sweep needed.
         segment: u64,

@@ -34,13 +34,13 @@
 //!   [`Dual`]; the NPB kernels are written once, generically, against it.
 //! * [`Cplx`] — a complex number over any [`Real`], needed by the FT
 //!   benchmark (`dcomplex` in NPB).
-//! * [`Tape::reachable`] — *structural* activity analysis on the same tape:
+//! * [`Tape::reachable_sweep`] — *structural* activity analysis on the same tape:
 //!   an element is structurally critical if any data-flow path connects it
 //!   to the output, even if the derivative value cancels to zero. This is
 //!   the cheaper comparator used by the ablation experiments; it sweeps
 //!   per-segment bitsets through the same frontier machinery.
 //! * [`datadep`] — the structural bits packaged as a full static analyzer
-//!   ([`Tape::datadep`]): liveness plus def-use bits and explicit witness
+//!   ([`Tape::datadep_sweep`]): liveness plus def-use bits and explicit witness
 //!   paths, the AutoCheck-style second opinion that the differential
 //!   harness in `core::analysis` cross-checks the value sweep against.
 //! * [`TapeCheckpointConfig`] — **bounded-memory scrutiny** via
@@ -48,7 +48,8 @@
 //!   keep at most `ncheckpoints` segments resident (0 = auto ≈
 //!   log2(segments)), evict the rest to digests during recording, and
 //!   re-record them on demand through a deterministic [`TapeReplay`]
-//!   closure during the sweeps — `O(ncheckpoints · segment)` peak tape
+//!   closure (passed in [`SweepOptions`]) during the sweeps —
+//!   `O(ncheckpoints · segment)` peak tape
 //!   residency instead of `O(n)`, digest-verified bit-identical to the
 //!   unbounded sweep.
 //!
@@ -89,7 +90,7 @@ pub use error::AdError;
 pub use real::Real;
 pub use replay::TapeReplay;
 pub use segment::{TapeCheckpointConfig, DEFAULT_NODE_LIMIT, DEFAULT_SEGMENT_LEN, NODE_BYTES};
-pub use sweep::{Gradient, SweepConfig, SweepStats};
+pub use sweep::{Gradient, SweepConfig, SweepOptions, SweepStats};
 pub use tape::{Tape, TapeConfig, TapeSession, TapeStats};
 
 /// Convenience: run `f` while a fresh tape records, then return the result

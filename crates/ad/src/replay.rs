@@ -126,10 +126,10 @@ impl<'a> ReplayCtx<'a> {
         }
     }
 
-    /// Replay through `replayer`, reporting spans to `rec`.
-    pub(crate) fn new(replayer: &'a dyn TapeReplay, rec: Recorder) -> ReplayCtx<'a> {
+    /// Replay through `replayer` (if any), reporting spans to `rec`.
+    pub(crate) fn new(replayer: Option<&'a dyn TapeReplay>, rec: Recorder) -> ReplayCtx<'a> {
         ReplayCtx {
-            replayer: Some(replayer),
+            replayer,
             rec,
             replayed: AtomicU64::new(0),
         }

@@ -43,9 +43,10 @@
 //! is untouched by eviction.
 
 use crate::error::AdError;
-use crate::replay::ReplayCtx;
+use crate::replay::{ReplayCtx, TapeReplay};
 use crate::segment::{Dir, Segment, NONE};
 use crate::tape::Tape;
+use scrutiny_obs::Recorder;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
@@ -80,6 +81,37 @@ impl SweepConfig {
     }
 }
 
+/// Everything one sweep call takes besides its seed: the [`SweepConfig`],
+/// the replayer a checkpointed tape re-records evicted segments through,
+/// and the recorder the sweep reports to. A bare [`SweepConfig`] converts
+/// into options with no replayer and a disabled recorder.
+#[derive(Clone, Default)]
+pub struct SweepOptions<'a> {
+    /// Threads for the sweep.
+    pub config: SweepConfig,
+    /// Deterministic re-run of the recorded computation, used to
+    /// re-record evicted segments of a tape recorded under a
+    /// [`crate::TapeCheckpointConfig`]; results stay bit-identical to the
+    /// unbounded sweep and a diverging replay is
+    /// [`AdError::ReplayDivergence`]. `None` makes any evicted segment an
+    /// [`AdError::SegmentEvicted`].
+    pub replay: Option<&'a dyn TapeReplay>,
+    /// Obs sink: the sweep runs under an `ad.sweep.<kind>` span (fields
+    /// `nodes`, `segments`), exports its [`SweepStats`] as
+    /// `ad.sweep.<kind>.*` gauges, and reports each re-recorded window as
+    /// an `ad.replay` span. Disabled by default, which costs one branch.
+    pub recorder: Recorder,
+}
+
+impl From<SweepConfig> for SweepOptions<'_> {
+    fn from(config: SweepConfig) -> Self {
+        SweepOptions {
+            config,
+            ..SweepOptions::default()
+        }
+    }
+}
+
 /// What a reverse sweep did, for the analysis report and the benches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepStats {
@@ -107,9 +139,9 @@ pub struct SweepStats {
 
 impl SweepStats {
     /// Exports the stats as obs gauges `ad.sweep.<which>.*` (gauge *set*
-    /// semantics: the most recent sweep of a given kind wins). `which` is
-    /// one of the sweep kinds used by the analysis layer: `value`,
-    /// `reach`, or `datadep`.
+    /// semantics: the most recent sweep of a given kind wins, so the
+    /// gauges are a log, never the source of a report). `which` is one of
+    /// the sweep kinds: `value`, `reach`, or `datadep`.
     pub fn emit(&self, rec: &scrutiny_obs::Recorder, which: &str) {
         if !rec.is_enabled() {
             return;
@@ -132,22 +164,6 @@ impl SweepStats {
             &format!("ad.sweep.{which}.peak_resident_bytes"),
             self.peak_resident_bytes as i64,
         );
-    }
-
-    /// Reconstructs the stats of the most recent `which` sweep from a
-    /// snapshot — the inverse of [`SweepStats::emit`], and the view the
-    /// analysis report now reads instead of plumbing the struct through
-    /// every layer by hand. `None` when no such sweep was recorded.
-    pub fn from_snapshot(snap: &scrutiny_obs::Snapshot, which: &str) -> Option<SweepStats> {
-        Some(SweepStats {
-            segments: snap.gauge(&format!("ad.sweep.{which}.segments"))? as usize,
-            threads: snap.gauge(&format!("ad.sweep.{which}.threads"))? as usize,
-            cross_contribs: snap.gauge(&format!("ad.sweep.{which}.cross_contribs"))? as u64,
-            parallel: snap.gauge(&format!("ad.sweep.{which}.parallel"))? != 0,
-            replayed_segments: snap.gauge(&format!("ad.sweep.{which}.replayed_segments"))? as u64,
-            peak_resident_bytes: snap.gauge(&format!("ad.sweep.{which}.peak_resident_bytes"))?
-                as usize,
-        })
     }
 
     /// Merges stats from repeated sweeps over the same tape (burn-in
@@ -207,11 +223,7 @@ impl Gradient {
 
 /// Reject sweeps on poisoned tapes and out-of-range seeds.
 pub(crate) fn check_seed(tape: &Tape, out: u64) -> Result<(), AdError> {
-    if tape.overflowed() {
-        return Err(AdError::TapeOverflow {
-            limit: tape.node_limit(),
-        });
-    }
+    tape.check_not_overflowed()?;
     if out >= tape.len() as u64 {
         return Err(AdError::NodeOutOfRange {
             node: out,

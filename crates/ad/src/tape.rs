@@ -13,17 +13,16 @@
 //! exhausted. The segments are also the unit of parallelism for the
 //! reverse sweeps — and of *eviction* under a [`TapeCheckpointConfig`],
 //! where interior segments are discarded during recording and re-recorded
-//! on demand through the `*_replay` sweep entry points
+//! on demand through the replayer in a sweep's [`SweepOptions`]
 //! ([`crate::replay`]).
 
 use crate::datadep::{self, DataDep};
 use crate::error::AdError;
-use crate::replay::{ReplayCtx, ReplaySink, TapeReplay};
+use crate::replay::{ReplayCtx, ReplaySink};
 use crate::segment::{
     SegmentStore, TapeCheckpointConfig, DEFAULT_NODE_LIMIT, DEFAULT_SEGMENT_LEN, NODE_BYTES,
 };
-use crate::sweep::{self, Gradient, SweepConfig, SweepStats};
-use scrutiny_obs::Recorder;
+use crate::sweep::{self, Gradient, SweepConfig, SweepOptions, SweepStats};
 use std::cell::RefCell;
 
 pub(crate) use crate::segment::NONE;
@@ -46,8 +45,8 @@ pub struct TapeConfig {
     /// Bounded-residency policy: keep at most `ncheckpoints` segments in
     /// memory, evicting the rest to digests that are re-recorded on
     /// demand during sweeps. `None` (the default) keeps every segment
-    /// resident; a checkpointed tape must be swept through the
-    /// `*_replay` entry points.
+    /// resident; a checkpointed tape must be swept with a replayer in its
+    /// [`SweepOptions`].
     pub checkpoint: Option<TapeCheckpointConfig>,
 }
 
@@ -203,79 +202,37 @@ impl Tape {
 
     // ---- sweeps ----------------------------------------------------------
 
-    /// Reverse (adjoint) sweep: derivative of the node `output` with
-    /// respect to every node on the tape. Chooses the parallel sweep when
-    /// segments and cores allow; results are bit-identical either way.
+    /// Reverse (adjoint) sweep with default options: derivative of
+    /// `output` with respect to every node on the tape.
     ///
     /// A constant output (an [`crate::Adj`] that never touched the tape)
     /// yields an all-zero gradient: nothing influenced it. A poisoned
     /// (overflowed) tape yields [`AdError::TapeOverflow`]; a checkpointed
     /// tape with evicted segments yields [`AdError::SegmentEvicted`]
-    /// (use [`Tape::gradient_sweep_replay`]).
+    /// (sweep it through [`Tape::gradient_sweep`] with a replayer).
     pub fn gradient(&self, output: crate::Adj) -> Result<Gradient, AdError> {
         self.gradient_sweep(output, SweepConfig::default())
             .map(|(g, _)| g)
     }
 
-    /// Reverse sweep seeded at an explicit node index.
-    pub fn gradient_of(&self, output: u64) -> Result<Gradient, AdError> {
-        sweep::gradient_auto(self, output, SweepConfig::default(), &ReplayCtx::none())
-            .map(|(g, _)| g)
-    }
-
-    /// Reverse sweep with an explicit [`SweepConfig`], also reporting
-    /// [`SweepStats`] (segments visited, threads, frontier traffic).
-    pub fn gradient_sweep(
+    /// Reverse sweep, also reporting [`SweepStats`] (segments visited,
+    /// threads, frontier traffic, replayed segments). Chooses the parallel
+    /// sweep when segments and threads allow; results are bit-identical
+    /// for every [`SweepConfig`] and with or without eviction.
+    pub fn gradient_sweep<'a>(
         &self,
         output: crate::Adj,
-        cfg: SweepConfig,
+        opts: impl Into<SweepOptions<'a>>,
     ) -> Result<(Gradient, SweepStats), AdError> {
-        self.gradient_sweep_ctx(output, cfg, &ReplayCtx::none())
-    }
-
-    /// [`Tape::gradient_sweep`] on a checkpointed tape: evicted segments
-    /// are re-recorded on demand by `replay` (which must deterministically
-    /// repeat the recorded computation), keeping residency within the
-    /// [`TapeCheckpointConfig`] budget. Bit-identical to the unbounded
-    /// sweep; a diverging replay is [`AdError::ReplayDivergence`].
-    pub fn gradient_sweep_replay(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        replay: &dyn TapeReplay,
-    ) -> Result<(Gradient, SweepStats), AdError> {
-        self.gradient_sweep_ctx(output, cfg, &ReplayCtx::new(replay, Recorder::disabled()))
-    }
-
-    fn gradient_sweep_ctx(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        ctx: &ReplayCtx<'_>,
-    ) -> Result<(Gradient, SweepStats), AdError> {
-        match output.index() {
+        let sweep = |cfg, ctx: &ReplayCtx<'_>| match output.index() {
             Some(idx) => sweep::gradient_auto(self, idx, cfg, ctx),
             None => {
-                if self.overflowed() {
-                    return Err(AdError::TapeOverflow {
-                        limit: self.node_limit(),
-                    });
-                }
-                Ok((
-                    Gradient {
-                        adj: vec![0.0; self.len()],
-                    },
-                    sweep::constant_stats(),
-                ))
+                self.check_not_overflowed()?;
+                let adj = vec![0.0; self.len()];
+                Ok((Gradient { adj }, sweep::constant_stats()))
             }
-        }
-    }
-
-    /// Serial reverse sweep (the seed algorithm); the reference the
-    /// property suite compares the parallel sweep against.
-    pub fn gradient_serial(&self, output: crate::Adj) -> Result<Gradient, AdError> {
-        self.gradient_sweep(output, SweepConfig::serial())
-            .map(|(g, _)| g)
+        };
+        self.observed("value", opts.into(), sweep, |s| s.1)
     }
 
     /// Structural activity sweep: marks every node from which a data-flow
@@ -286,233 +243,72 @@ impl Tape {
     /// multiplication by a tracked zero) is still structurally reachable.
     /// The paper's discussion section hopes for such an "algorithmic
     /// analysis"; the ablation benches quantify how often the two differ.
-    pub fn reachable(&self, output: crate::Adj) -> Result<Vec<bool>, AdError> {
-        self.reachable_sweep(output, SweepConfig::default())
-            .map(|(r, _)| r)
-    }
-
-    /// Structural sweep seeded at an explicit node index.
-    pub fn reachable_of(&self, output: u64) -> Result<Vec<bool>, AdError> {
-        sweep::reachable_auto(self, output, SweepConfig::default(), &ReplayCtx::none())
-            .map(|(r, _)| r)
-    }
-
-    /// Structural sweep with an explicit [`SweepConfig`] and stats.
-    pub fn reachable_sweep(
+    pub fn reachable_sweep<'a>(
         &self,
         output: crate::Adj,
-        cfg: SweepConfig,
+        opts: impl Into<SweepOptions<'a>>,
     ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        self.reachable_sweep_ctx(output, cfg, &ReplayCtx::none())
-    }
-
-    /// [`Tape::reachable_sweep`] on a checkpointed tape, re-recording
-    /// evicted segments through `replay`. See
-    /// [`Tape::gradient_sweep_replay`] for the contract.
-    pub fn reachable_sweep_replay(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        replay: &dyn TapeReplay,
-    ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        self.reachable_sweep_ctx(output, cfg, &ReplayCtx::new(replay, Recorder::disabled()))
-    }
-
-    fn reachable_sweep_ctx(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        ctx: &ReplayCtx<'_>,
-    ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        match output.index() {
+        let sweep = |cfg, ctx: &ReplayCtx<'_>| match output.index() {
             Some(idx) => sweep::reachable_auto(self, idx, cfg, ctx),
             None => {
-                if self.overflowed() {
-                    return Err(AdError::TapeOverflow {
-                        limit: self.node_limit(),
-                    });
-                }
+                self.check_not_overflowed()?;
                 Ok((vec![false; self.len()], sweep::constant_stats()))
             }
-        }
-    }
-
-    /// Serial structural sweep (the seed algorithm).
-    pub fn reachable_serial(&self, output: crate::Adj) -> Result<Vec<bool>, AdError> {
-        self.reachable_sweep(output, SweepConfig::serial())
-            .map(|(r, _)| r)
+        };
+        self.observed("reach", opts.into(), sweep, |s| s.1)
     }
 
     /// Static data-dependency analysis ([`crate::datadep`]): structural
     /// liveness plus def-use bits and witness-path extraction, never
     /// touching adjoint values. The AutoCheck-style second analyzer the
-    /// differential harness cross-checks [`Tape::gradient`] against.
+    /// differential harness cross-checks [`Tape::gradient`] against. On a
+    /// checkpointed tape the forward def-use pass and the reverse liveness
+    /// sweep both stay within the residency budget.
     ///
     /// Same error contract as the sweeps: a constant output yields an
     /// all-dead result, a poisoned tape [`AdError::TapeOverflow`].
-    pub fn datadep(&self, output: crate::Adj) -> Result<DataDep, AdError> {
-        self.datadep_sweep(output, SweepConfig::default())
-    }
-
-    /// Data-dependency analysis with an explicit [`SweepConfig`].
-    pub fn datadep_sweep(&self, output: crate::Adj, cfg: SweepConfig) -> Result<DataDep, AdError> {
-        datadep::analyze(self, output.index(), cfg, &ReplayCtx::none())
-    }
-
-    /// [`Tape::datadep_sweep`] on a checkpointed tape, re-recording
-    /// evicted segments through `replay` (the forward def-use pass and
-    /// the reverse liveness sweep both stay within the residency budget).
-    pub fn datadep_sweep_replay(
+    pub fn datadep_sweep<'a>(
         &self,
         output: crate::Adj,
-        cfg: SweepConfig,
-        replay: &dyn TapeReplay,
+        opts: impl Into<SweepOptions<'a>>,
     ) -> Result<DataDep, AdError> {
-        datadep::analyze(
-            self,
-            output.index(),
-            cfg,
-            &ReplayCtx::new(replay, Recorder::disabled()),
-        )
+        let sweep = |cfg, ctx: &ReplayCtx<'_>| datadep::analyze(self, output.index(), cfg, ctx);
+        self.observed("datadep", opts.into(), sweep, DataDep::stats)
     }
 
-    /// Data-dependency analysis seeded at an explicit node index.
-    pub fn datadep_of(&self, output: u64, cfg: SweepConfig) -> Result<DataDep, AdError> {
-        datadep::analyze(self, Some(output), cfg, &ReplayCtx::none())
-    }
-
-    // ----- observed sweeps -------------------------------------------
-    //
-    // The `_observed` variants wrap the sweep in an obs span
-    // (`ad.sweep.<kind>`, with tape shape fields) and export the
-    // resulting [`SweepStats`] as gauges via [`SweepStats::emit`], so the
-    // analysis layer can derive its report from the recorder instead of
-    // plumbing the struct through by hand. With a disabled recorder they
-    // are exactly the plain sweeps. The `_replay_observed` variants
-    // additionally report each re-recording as an `ad.replay` span.
-
-    /// [`Tape::gradient_sweep`] reporting through an obs recorder
-    /// (span `ad.sweep.value`, gauges `ad.sweep.value.*`).
-    pub fn gradient_sweep_observed(
+    /// Run one sweep of `kind` under `opts`. With an enabled recorder the
+    /// sweep runs inside an `ad.sweep.<kind>` span and its stats (taken
+    /// from the result by `stats`) are emitted as gauges afterwards.
+    fn observed<T>(
         &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        rec: &Recorder,
-    ) -> Result<(Gradient, SweepStats), AdError> {
-        let shape = self.stats();
+        kind: &str,
+        opts: SweepOptions<'_>,
+        sweep: impl FnOnce(SweepConfig, &ReplayCtx<'_>) -> Result<T, AdError>,
+        stats: impl Fn(&T) -> SweepStats,
+    ) -> Result<T, AdError> {
+        let ctx = ReplayCtx::new(opts.replay, opts.recorder);
+        if !ctx.rec.is_enabled() {
+            return sweep(opts.config, &ctx);
+        }
         let _span = scrutiny_obs::span!(
-            rec,
-            "ad.sweep.value",
-            nodes = shape.nodes,
-            segments = shape.segments
+            ctx.rec,
+            &format!("ad.sweep.{kind}"),
+            nodes = self.len(),
+            segments = self.segment_count()
         );
-        let (gradient, stats) = self.gradient_sweep(output, cfg)?;
-        stats.emit(rec, "value");
-        Ok((gradient, stats))
+        let out = sweep(opts.config, &ctx)?;
+        stats(&out).emit(&ctx.rec, kind);
+        Ok(out)
     }
 
-    /// [`Tape::gradient_sweep_replay`] reporting through an obs recorder:
-    /// the sweep span plus one `ad.replay` span per re-recorded window.
-    pub fn gradient_sweep_replay_observed(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        replay: &dyn TapeReplay,
-        rec: &Recorder,
-    ) -> Result<(Gradient, SweepStats), AdError> {
-        let shape = self.stats();
-        let _span = scrutiny_obs::span!(
-            rec,
-            "ad.sweep.value",
-            nodes = shape.nodes,
-            segments = shape.segments
-        );
-        let ctx = ReplayCtx::new(replay, rec.clone());
-        let (gradient, stats) = self.gradient_sweep_ctx(output, cfg, &ctx)?;
-        stats.emit(rec, "value");
-        Ok((gradient, stats))
-    }
-
-    /// [`Tape::reachable_sweep`] reporting through an obs recorder
-    /// (span `ad.sweep.reach`, gauges `ad.sweep.reach.*`).
-    pub fn reachable_sweep_observed(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        rec: &Recorder,
-    ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        let shape = self.stats();
-        let _span = scrutiny_obs::span!(
-            rec,
-            "ad.sweep.reach",
-            nodes = shape.nodes,
-            segments = shape.segments
-        );
-        let (reach, stats) = self.reachable_sweep(output, cfg)?;
-        stats.emit(rec, "reach");
-        Ok((reach, stats))
-    }
-
-    /// [`Tape::reachable_sweep_replay`] reporting through an obs recorder.
-    pub fn reachable_sweep_replay_observed(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        replay: &dyn TapeReplay,
-        rec: &Recorder,
-    ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        let shape = self.stats();
-        let _span = scrutiny_obs::span!(
-            rec,
-            "ad.sweep.reach",
-            nodes = shape.nodes,
-            segments = shape.segments
-        );
-        let ctx = ReplayCtx::new(replay, rec.clone());
-        let (reach, stats) = self.reachable_sweep_ctx(output, cfg, &ctx)?;
-        stats.emit(rec, "reach");
-        Ok((reach, stats))
-    }
-
-    /// [`Tape::datadep_sweep`] reporting through an obs recorder
-    /// (span `ad.sweep.datadep`, gauges `ad.sweep.datadep.*`).
-    pub fn datadep_sweep_observed(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        rec: &Recorder,
-    ) -> Result<DataDep, AdError> {
-        let shape = self.stats();
-        let _span = scrutiny_obs::span!(
-            rec,
-            "ad.sweep.datadep",
-            nodes = shape.nodes,
-            segments = shape.segments
-        );
-        let dd = self.datadep_sweep(output, cfg)?;
-        dd.stats().emit(rec, "datadep");
-        Ok(dd)
-    }
-
-    /// [`Tape::datadep_sweep_replay`] reporting through an obs recorder.
-    pub fn datadep_sweep_replay_observed(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        replay: &dyn TapeReplay,
-        rec: &Recorder,
-    ) -> Result<DataDep, AdError> {
-        let shape = self.stats();
-        let _span = scrutiny_obs::span!(
-            rec,
-            "ad.sweep.datadep",
-            nodes = shape.nodes,
-            segments = shape.segments
-        );
-        let ctx = ReplayCtx::new(replay, rec.clone());
-        let dd = datadep::analyze(self, output.index(), cfg, &ctx)?;
-        dd.stats().emit(rec, "datadep");
-        Ok(dd)
+    /// Every sweep of a poisoned tape fails, even one seeded by a constant.
+    pub(crate) fn check_not_overflowed(&self) -> Result<(), AdError> {
+        if self.overflowed() {
+            return Err(AdError::TapeOverflow {
+                limit: self.node_limit(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -722,7 +518,7 @@ pub(crate) fn record_leaf() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Adj;
+    use crate::{Adj, TapeReplay};
 
     #[test]
     fn empty_tape_stats() {
@@ -833,22 +629,31 @@ mod tests {
             AdError::TapeOverflow { limit: 6 }
         );
         assert_eq!(
-            tape.reachable(y).unwrap_err(),
+            tape.reachable_sweep(y, SweepConfig::default()).unwrap_err(),
             AdError::TapeOverflow { limit: 6 }
         );
     }
 
     #[test]
     fn out_of_range_seed_is_a_typed_error() {
+        // A node of a longer recording seeds past the end of this tape.
+        let s = TapeSession::new();
+        let mut far = Adj::leaf(1.0);
+        for _ in 0..5 {
+            far *= 2.0;
+        }
+        drop(s.finish());
+        assert_eq!(far.index(), Some(5));
         let s = TapeSession::new();
         let _x = Adj::leaf(1.0);
         let tape = s.finish();
         assert_eq!(
-            tape.gradient_of(5).unwrap_err(),
+            tape.gradient(far).unwrap_err(),
             AdError::NodeOutOfRange { node: 5, len: 1 }
         );
         assert_eq!(
-            tape.reachable_of(5).unwrap_err(),
+            tape.reachable_sweep(far, SweepConfig::default())
+                .unwrap_err(),
             AdError::NodeOutOfRange { node: 5, len: 1 }
         );
     }
@@ -862,7 +667,7 @@ mod tests {
         let out = cancel * y;
         let tape = s.finish();
         let g = tape.gradient(out).unwrap();
-        let r = tape.reachable(out).unwrap();
+        let (r, _) = tape.reachable_sweep(out, SweepConfig::default()).unwrap();
         assert_eq!(g.wrt(x), 0.0, "x-x cancels exactly");
         assert!(r[x.index().unwrap() as usize], "x is structurally active");
         // y's gradient is zero too (multiplied by a zero value) but reachable.
@@ -908,6 +713,15 @@ mod tests {
         (x, acc)
     }
 
+    /// Serial sweep options re-recording evicted segments through `replay`.
+    fn replaying(replay: &dyn TapeReplay) -> SweepOptions<'_> {
+        SweepOptions {
+            config: SweepConfig::serial(),
+            replay: Some(replay),
+            ..SweepOptions::default()
+        }
+    }
+
     fn checkpointed_cfg(n: usize) -> TapeConfig {
         TapeConfig {
             segment_len: 32,
@@ -935,9 +749,7 @@ mod tests {
         let replay = || {
             let _ = chain_computation();
         };
-        let (g, stats) = ctape
-            .gradient_sweep_replay(cout, SweepConfig::serial(), &replay)
-            .unwrap();
+        let (g, stats) = ctape.gradient_sweep(cout, replaying(&replay)).unwrap();
         assert_eq!(g.wrt(cx).to_bits(), unbounded.wrt(x).to_bits());
         assert!(stats.replayed_segments > 0, "replay actually ran");
         // Residency never exceeded the configured budget.
@@ -975,8 +787,7 @@ mod tests {
             }
         };
         assert!(matches!(
-            tape.gradient_sweep_replay(out, SweepConfig::serial(), &bad)
-                .unwrap_err(),
+            tape.gradient_sweep(out, replaying(&bad)).unwrap_err(),
             AdError::ReplayDivergence { .. }
         ));
     }

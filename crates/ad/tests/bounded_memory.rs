@@ -16,8 +16,18 @@
 
 use proptest::prelude::*;
 use scrutiny_ad::{
-    AdError, Adj, SweepConfig, Tape, TapeCheckpointConfig, TapeConfig, TapeSession, NODE_BYTES,
+    AdError, Adj, SweepConfig, SweepOptions, Tape, TapeCheckpointConfig, TapeConfig, TapeReplay,
+    TapeSession, NODE_BYTES,
 };
+
+/// Sweep options re-recording evicted segments through `replay`.
+fn replaying(config: SweepConfig, replay: &dyn TapeReplay) -> SweepOptions<'_> {
+    SweepOptions {
+        config,
+        replay: Some(replay),
+        ..SweepOptions::default()
+    }
+}
 
 /// One deterministic straight-line program: fold `ops` over a two-leaf
 /// seed state. Each op byte picks the arithmetic, so the recording is a
@@ -93,7 +103,7 @@ proptest! {
 
         let replay = || { let _ = run_program(&ops, x0, y0); };
         let (grads, stats) = bounded
-            .gradient_sweep_replay(out_b, SweepConfig::serial(), &replay)
+            .gradient_sweep(out_b, replaying(SweepConfig::serial(), &replay))
             .unwrap();
         prop_assert!(
             stats.peak_resident_bytes <= budget,
@@ -107,11 +117,11 @@ proptest! {
             );
         }
         let (reach, _) = bounded
-            .reachable_sweep_replay(out_b, SweepConfig::serial(), &replay)
+            .reachable_sweep(out_b, replaying(SweepConfig::serial(), &replay))
             .unwrap();
         prop_assert_eq!(&base_reach, &reach);
         let dd = bounded
-            .datadep_sweep_replay(out_b, SweepConfig::serial(), &replay)
+            .datadep_sweep(out_b, replaying(SweepConfig::serial(), &replay))
             .unwrap();
         prop_assert_eq!(dd.live_bits(), &reach[..]);
         if n < segments {
@@ -135,7 +145,7 @@ proptest! {
         let (out, tape) = record(&ops, 1.25, 0.75, SEG, Some(ckpt));
         let replay = || { let _ = run_program(&ops, 1.25, 0.75); };
         let (_, stats) = tape
-            .gradient_sweep_replay(out, SweepConfig::serial(), &replay)
+            .gradient_sweep(out, replaying(SweepConfig::serial(), &replay))
             .unwrap();
         prop_assert!(tape.peak_resident_bytes() <= budget);
         prop_assert!(stats.peak_resident_bytes <= budget);
@@ -179,7 +189,7 @@ fn divergent_replay_is_replay_divergence() {
         let _ = run_program(&ops, 1.5, 0.625);
     };
     let err = tape
-        .gradient_sweep_replay(out, SweepConfig::serial(), &bad)
+        .gradient_sweep(out, replaying(SweepConfig::serial(), &bad))
         .unwrap_err();
     assert!(matches!(err, AdError::ReplayDivergence { .. }), "{err}");
 }
@@ -198,7 +208,7 @@ fn overflowed_checkpointed_tape_stays_a_typed_error() {
         let _ = run_program(&vec![0u8; 256], 1.0, 2.0);
     };
     let err = tape
-        .gradient_sweep_replay(out, SweepConfig::serial(), &replay)
+        .gradient_sweep(out, replaying(SweepConfig::serial(), &replay))
         .unwrap_err();
     assert_eq!(err, AdError::TapeOverflow { limit: 64 });
 }

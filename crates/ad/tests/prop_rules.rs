@@ -5,7 +5,7 @@
 //! differences, and checks calculus identities hold.
 
 use proptest::prelude::*;
-use scrutiny_ad::{Adj, Dual, Real, TapeSession};
+use scrutiny_ad::{Adj, Dual, Real, SweepConfig, TapeSession};
 
 /// Reverse-mode gradient of a 2-input scalar function.
 fn rev_grad2(f: impl Fn(Adj, Adj) -> Adj, x: f64, y: f64) -> (f64, f64, f64) {
@@ -110,7 +110,7 @@ proptest! {
         };
         let tape = s.finish();
         let g = tape.gradient(out).unwrap();
-        let r = tape.reachable(out).unwrap();
+        let r = tape.reachable_sweep(out, SweepConfig::default()).unwrap().0;
         for leaf in [xa, ya] {
             if g.wrt(leaf) != 0.0 {
                 prop_assert!(r[leaf.index().unwrap() as usize],
@@ -128,7 +128,7 @@ proptest! {
         let out = used.iter().fold(Adj::constant(0.0), |a, &b| a + b * b);
         let tape = s.finish();
         let g = tape.gradient(out).unwrap();
-        let r = tape.reachable(out).unwrap();
+        let r = tape.reachable_sweep(out, SweepConfig::default()).unwrap().0;
         for &l in &unused {
             prop_assert_eq!(g.wrt(l), 0.0);
             prop_assert!(!r[l.index().unwrap() as usize]);
@@ -151,7 +151,7 @@ proptest! {
         let tape = s.finish();
         let g = tape.gradient(out).unwrap();
         prop_assert_eq!(g.wrt(ckpt), 0.0);
-        let r = tape.reachable(out).unwrap();
+        let r = tape.reachable_sweep(out, SweepConfig::default()).unwrap().0;
         prop_assert!(!r[ckpt.index().unwrap() as usize]);
     }
 }

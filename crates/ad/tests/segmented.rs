@@ -109,7 +109,7 @@ proptest! {
         let s = session(16);
         let (_, out) = record_random(seed);
         let tape = s.finish();
-        let reach = tape.reachable_serial(out).unwrap();
+        let reach = tape.reachable_sweep(out, SweepConfig::serial()).unwrap().0;
         for threads in [1usize, 2, 3, 8] {
             let cfg = SweepConfig::with_threads(threads);
             let dd = tape.datadep_sweep(out, cfg).unwrap();
@@ -150,8 +150,8 @@ proptest! {
         let s = session(1 << 22); // effectively monolithic
         let (_, out_mono) = record_random(seed);
         let mono = s.finish();
-        let g_mono = mono.gradient_serial(out_mono).unwrap();
-        let r_mono = mono.reachable_serial(out_mono).unwrap();
+        let g_mono = mono.gradient_sweep(out_mono, SweepConfig::serial()).unwrap().0;
+        let r_mono = mono.reachable_sweep(out_mono, SweepConfig::serial()).unwrap().0;
         prop_assert_eq!(mono.stats().segments <= 1, true);
 
         let s = session(8);
@@ -176,8 +176,8 @@ fn pad_to_offset(s: &TapeSession, x: Adj, offset: usize) {
 }
 
 fn check_all_configs(tape: &scrutiny_ad::Tape, out: Adj) {
-    let serial = tape.gradient_serial(out).unwrap();
-    let reach = tape.reachable_serial(out).unwrap();
+    let serial = tape.gradient_sweep(out, SweepConfig::serial()).unwrap().0;
+    let reach = tape.reachable_sweep(out, SweepConfig::serial()).unwrap().0;
     let dd = tape.datadep_sweep(out, SweepConfig::serial()).unwrap();
     assert_eq!(dd.live_bits(), &reach[..]);
     for threads in [2usize, 4] {
@@ -243,7 +243,11 @@ fn empty_tape_sweeps() {
     assert!(tape.is_empty());
     let g = tape.gradient(c).unwrap();
     assert!(g.is_empty());
-    assert!(tape.reachable(c).unwrap().is_empty());
+    assert!(tape
+        .reachable_sweep(c, SweepConfig::default())
+        .unwrap()
+        .0
+        .is_empty());
 }
 
 #[test]
@@ -259,8 +263,13 @@ fn constant_output_on_multi_segment_tape() {
     let g = tape.gradient(c).unwrap();
     assert_eq!(g.len(), tape.len());
     assert!((0..g.len()).all(|i| g.of_node(i as u64) == 0.0));
-    assert!(tape.reachable(c).unwrap().iter().all(|&b| !b));
-    let dd = tape.datadep(c).unwrap();
+    assert!(tape
+        .reachable_sweep(c, SweepConfig::default())
+        .unwrap()
+        .0
+        .iter()
+        .all(|&b| !b));
+    let dd = tape.datadep_sweep(c, SweepConfig::default()).unwrap();
     assert_eq!(dd.live_count(), 0);
     assert_eq!(dd.seed(), None);
 }
@@ -279,7 +288,7 @@ fn datadep_cross_segment_fan_in_is_live_with_deep_witness() {
     }
     let tape = s.finish();
     assert!(tape.segment_count() > 20);
-    let reach = tape.reachable_serial(out).unwrap();
+    let reach = tape.reachable_sweep(out, SweepConfig::serial()).unwrap().0;
     for threads in [1usize, 2, 4] {
         let dd = tape
             .datadep_sweep(out, SweepConfig::with_threads(threads))
@@ -317,17 +326,25 @@ fn overflow_surfaces_as_typed_error_not_abort() {
         AdError::TapeOverflow { limit: 20 }
     );
     assert_eq!(
-        tape.datadep(y).unwrap_err(),
+        tape.datadep_sweep(y, SweepConfig::default()).unwrap_err(),
         AdError::TapeOverflow { limit: 20 }
     );
 }
 
 #[test]
 fn out_of_range_seed_is_typed() {
+    // A node of a longer recording seeds past the end of this tape.
+    let s = session(8);
+    let mut far = Adj::leaf(1.0);
+    for _ in 0..99 {
+        far *= 2.0;
+    }
+    drop(s.finish());
+    assert_eq!(far.index(), Some(99));
     let s = session(8);
     let _x = Adj::leaf(1.0);
     let tape = s.finish();
-    match tape.gradient_of(99) {
+    match tape.gradient(far) {
         Err(AdError::NodeOutOfRange { node: 99, len: 1 }) => {}
         other => panic!("expected NodeOutOfRange, got {other:?}"),
     }

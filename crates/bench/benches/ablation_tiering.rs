@@ -2,7 +2,7 @@
 //! and tiered vs pruned serialization cost.
 
 use criterion::{criterion_group, Criterion};
-use scrutiny_ad::TapeSession;
+use scrutiny_ad::{SweepConfig, TapeSession};
 use scrutiny_ckpt::writer::{serialize, serialize_with};
 use scrutiny_core::plan::{codec_for, plans_for};
 use scrutiny_core::restart::capture_state;
@@ -23,7 +23,12 @@ fn bench(c: &mut Criterion) {
         b.iter(|| tape.gradient(out.output).unwrap().len())
     });
     g.bench_function("structural_reachability_sweep", |b| {
-        b.iter(|| tape.reachable(out.output).unwrap().len())
+        b.iter(|| {
+            tape.reachable_sweep(out.output, SweepConfig::default())
+                .unwrap()
+                .0
+                .len()
+        })
     });
     g.finish();
 

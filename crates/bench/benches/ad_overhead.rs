@@ -14,7 +14,7 @@
 //! Run with: `cargo bench -p scrutiny-bench --bench ad_overhead`
 
 use criterion::{criterion_group, Criterion};
-use scrutiny_ad::{SweepConfig, Tape, TapeCheckpointConfig, TapeConfig, TapeSession};
+use scrutiny_ad::{SweepConfig, SweepOptions, Tape, TapeCheckpointConfig, TapeConfig, TapeSession};
 use scrutiny_core::site::NoopSite;
 use scrutiny_core::{LeafSite, ScrutinyApp};
 use scrutiny_npb::{Bt, Ep};
@@ -220,10 +220,17 @@ fn report_checkpointed(summary: &scrutiny_bench::BenchSummary) {
         let (out_b, tape) = record_bounded(&bt, SEG, Some(ckpt));
         let t_record = measure(5, || record_bounded(&bt, SEG, Some(ckpt)).1.len());
         let t_sweep = measure(3, || {
-            tape.gradient_sweep_replay(out_b, SweepConfig::serial(), &replay)
-                .unwrap()
-                .0
-                .len()
+            tape.gradient_sweep(
+                out_b,
+                SweepOptions {
+                    config: SweepConfig::serial(),
+                    replay: Some(&replay),
+                    ..SweepOptions::default()
+                },
+            )
+            .unwrap()
+            .0
+            .len()
         });
         let peak = tape.peak_resident_bytes();
         let n = ckpt.resolved(segments);

@@ -150,9 +150,18 @@ fn overhead_demo(summary: &mut scrutiny_bench::BenchSummary) {
     // Enabled: a real end-to-end measurement over the full submit→wait
     // epoch (the `engine_submit` bench's `async_submit_then_wait`
     // measurement): recording costs are paid once per epoch, so the
-    // epoch is the unit a production burn-in budgets against.
-    let enabled_pct = 100.0 * (enabled_epoch.as_secs_f64() - disabled_epoch.as_secs_f64()).max(0.0)
+    // epoch is the unit a production burn-in budgets against. The
+    // difference is signed: an enabled run faster than the disabled one
+    // means noise swamped the overhead, which is no verdict at all.
+    let enabled_pct = 100.0 * (enabled_epoch.as_secs_f64() - disabled_epoch.as_secs_f64())
         / disabled_epoch.as_secs_f64().max(1e-12);
+    let enabled_verdict = if enabled_pct < 0.0 {
+        "UNRESOLVED"
+    } else if enabled_pct < 5.0 {
+        "OK"
+    } else {
+        "FAIL"
+    };
 
     println!();
     println!("observability overhead on engine submit (CG class S, MemBackend)");
@@ -166,8 +175,7 @@ fn overhead_demo(summary: &mut scrutiny_bench::BenchSummary) {
         if disabled_pct < 1.0 { "OK" } else { "FAIL" }
     );
     println!(
-        "  enabled-recorder epoch overhead {enabled_pct:.2}%  (target < 5%) {}",
-        if enabled_pct < 5.0 { "OK" } else { "FAIL" }
+        "  enabled-recorder epoch overhead {enabled_pct:+.2}%  (target < 5%) {enabled_verdict}"
     );
 
     summary.set_mean_us("submit.disabled_us", disabled_submit);
@@ -177,7 +185,7 @@ fn overhead_demo(summary: &mut scrutiny_bench::BenchSummary) {
     summary.set_meta("disabled_overhead_pct", disabled_pct);
     summary.set_meta("enabled_overhead_pct", enabled_pct);
     summary.set_meta("disabled_ok", disabled_pct < 1.0);
-    summary.set_meta("enabled_ok", enabled_pct < 5.0);
+    summary.set_meta("enabled_ok", enabled_verdict == "OK");
 }
 
 criterion_group!(benches, bench_recorder_ops);

@@ -72,7 +72,17 @@ fn bench_restore(c: &mut Criterion) {
     for threads in [2usize, 4] {
         g.bench_function(&format!("parallel_{threads}"), |b| {
             b.iter(|| {
-                black_box(read_data_image_parallel(0, &fetch, &RestoreOptions { threads }).unwrap())
+                black_box(
+                    read_data_image_parallel(
+                        0,
+                        &fetch,
+                        &RestoreOptions {
+                            threads,
+                            ..Default::default()
+                        },
+                    )
+                    .unwrap(),
+                )
             })
         });
     }
@@ -129,7 +139,17 @@ fn restore_summary(summary: &mut scrutiny_bench::BenchSummary) {
     for threads in [2usize, 4] {
         let t0 = Instant::now();
         for _ in 0..REPS {
-            black_box(read_data_image_parallel(0, &fetch, &RestoreOptions { threads }).unwrap());
+            black_box(
+                read_data_image_parallel(
+                    0,
+                    &fetch,
+                    &RestoreOptions {
+                        threads,
+                        ..Default::default()
+                    },
+                )
+                .unwrap(),
+            );
         }
         let par = t0.elapsed() / REPS;
         summary.set_bytes_per_sec(&format!("restore.parallel_{threads}"), image_bytes, par);
@@ -154,7 +174,15 @@ fn restore_summary(summary: &mut scrutiny_bench::BenchSummary) {
     let t0 = Instant::now();
     for _ in 0..REPS {
         let img = black_box(
-            read_data_image_parallel(0, &zfetch, &RestoreOptions { threads: 4 }).unwrap(),
+            read_data_image_parallel(
+                0,
+                &zfetch,
+                &RestoreOptions {
+                    threads: 4,
+                    ..Default::default()
+                },
+            )
+            .unwrap(),
         )
         .0;
         assert_eq!(img.len(), image_bytes, "compressed restore must match");

@@ -62,9 +62,7 @@ pub use format::{
 pub use names::Tenant;
 pub use reader::Checkpoint;
 pub use regions::{Region, Regions};
-pub use restore::{
-    read_data_image_parallel, read_data_image_parallel_obs, RestoreOptions, RestoreStats,
-};
+pub use restore::{read_data_image_parallel, RestoreOptions, RestoreStats};
 pub use shard::{
     plan_shards, plan_shards_with, seal_shards, serialize_shard, ShardManifest, ShardPlan,
 };

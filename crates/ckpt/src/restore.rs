@@ -37,18 +37,25 @@
 use crate::delta::{apply_delta_verified, check_delta, walk_chain, ChainBase};
 use crate::format::{crc32, CkptError};
 use crate::names;
-use scrutiny_obs::{span, Recorder, Snapshot};
+use scrutiny_obs::{span, Recorder};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Tuning knobs for the parallel restore pipeline.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct RestoreOptions {
     /// Worker threads fetching and verifying objects. `0` (the default)
     /// picks `available_parallelism` (capped at 8); `1` runs fully
     /// serial — useful as the bit-identity reference and on single-core
     /// hosts where thread spawn overhead outweighs the overlap.
     pub threads: usize,
+    /// Observability sink: the restore runs under a `ckpt.restore` span
+    /// (emitted even when it fails, so rejected recovery candidates leave
+    /// a trace), each `SCRUTCZB`-compressed object decodes under a
+    /// `ckpt.decompress` span, and a `ckpt.restore.image` point plus
+    /// `ckpt.restore.*` gauges carry the returned [`RestoreStats`].
+    /// Disabled by default.
+    pub recorder: Recorder,
 }
 
 /// What one parallel restore actually did (for reports and benches).
@@ -65,9 +72,8 @@ pub struct RestoreStats {
 }
 
 impl RestoreStats {
-    /// Publish these stats as `ckpt.restore.*` gauges on `rec`. The
-    /// stats struct is a *view* over the recorder's data: what `emit`
-    /// writes, [`RestoreStats::from_snapshot`] reads back losslessly.
+    /// Publish these stats as `ckpt.restore.*` gauges on `rec` (the most
+    /// recent restore wins).
     pub fn emit(&self, rec: &Recorder) {
         if !rec.is_enabled() {
             return;
@@ -76,18 +82,6 @@ impl RestoreStats {
         rec.set_gauge("ckpt.restore.base_shards", self.base_shards as i64);
         rec.set_gauge("ckpt.restore.delta_links", self.delta_links as i64);
         rec.set_gauge("ckpt.restore.image_bytes", self.image_bytes as i64);
-    }
-
-    /// Reconstruct the stats of the most recent emitted restore from an
-    /// observability snapshot. `None` if the snapshot holds no
-    /// `ckpt.restore.*` gauges (no restore was observed).
-    pub fn from_snapshot(snap: &Snapshot) -> Option<RestoreStats> {
-        Some(RestoreStats {
-            threads: snap.gauge("ckpt.restore.threads")? as usize,
-            base_shards: snap.gauge("ckpt.restore.base_shards")? as usize,
-            delta_links: snap.gauge("ckpt.restore.delta_links")? as usize,
-            image_bytes: snap.gauge("ckpt.restore.image_bytes")? as usize,
-        })
     }
 }
 
@@ -121,7 +115,8 @@ enum Job<'a> {
 /// bit-identical to [`crate::delta::read_data_image`]'s; the stats say
 /// what the pipeline did. `fetch` must resolve an object name (see
 /// [`crate::names`]) to its bytes and be callable from several threads
-/// at once — a directory read or a backend `get` both qualify.
+/// at once — a directory read or a backend `get` both qualify. The
+/// restore reports into [`RestoreOptions::recorder`].
 pub fn read_data_image_parallel<F>(
     version: u64,
     fetch: &F,
@@ -130,6 +125,20 @@ pub fn read_data_image_parallel<F>(
 where
     F: Fn(&str) -> Result<Vec<u8>, CkptError> + Sync,
 {
+    let rec = &opts.recorder;
+    let _restore = span!(rec, "ckpt.restore", version = version);
+    // Decode compressed objects up here, under an explicit span; the
+    // sniffing decode points further down then see raw bytes and no-op.
+    let fetch = |name: &str| {
+        let bytes = fetch(name)?;
+        if crate::compress::is_container(&bytes) {
+            let stored = bytes.len();
+            let _d = span!(rec, "ckpt.decompress", stored_bytes = stored as u64);
+            crate::compress::decompress(&bytes)
+        } else {
+            Ok(bytes)
+        }
+    };
     // --- Phase 1: discovery — the same `walk_chain` the serial reader
     // uses (probe order, cycle rejection, and the chain-length bound
     // cannot drift between the two). Serial by nature: the parent
@@ -161,7 +170,7 @@ where
 
     let shard_bytes: Vec<Mutex<Option<Vec<u8>>>> =
         (0..base_shards).map(|_| Mutex::new(None)).collect();
-    run_jobs(&jobs, threads, fetch, &shard_bytes)?;
+    run_jobs(&jobs, threads, &fetch, &shard_bytes)?;
 
     // --- Phase 3: assemble, exactly as the serial path does: shards
     // concatenated in manifest order, then deltas replayed oldest-first.
@@ -189,39 +198,6 @@ where
         delta_links: deltas.len(),
         image_bytes: image.len(),
     };
-    Ok((image, stats))
-}
-
-/// [`read_data_image_parallel`] reporting into a [`Recorder`]: the whole
-/// restore runs under a `ckpt.restore` span (emitted even when the
-/// restore fails, so rejected recovery candidates leave a trace), each
-/// `SCRUTCZB`-compressed object decodes under a `ckpt.decompress` span,
-/// a `ckpt.restore.image` point carries what the pipeline did, and the
-/// stats land as `ckpt.restore.*` gauges ([`RestoreStats::emit`]). With
-/// a disabled recorder this is exactly the unobserved function.
-pub fn read_data_image_parallel_obs<F>(
-    version: u64,
-    fetch: &F,
-    opts: &RestoreOptions,
-    rec: &Recorder,
-) -> Result<(Vec<u8>, RestoreStats), CkptError>
-where
-    F: Fn(&str) -> Result<Vec<u8>, CkptError> + Sync,
-{
-    let _restore = span!(rec, "ckpt.restore", version = version);
-    // Decode compressed objects up here, under an explicit span; the
-    // sniffing decode points further down then see raw bytes and no-op.
-    let fetch = |name: &str| {
-        let bytes = fetch(name)?;
-        if crate::compress::is_container(&bytes) {
-            let stored = bytes.len();
-            let _d = span!(rec, "ckpt.decompress", stored_bytes = stored as u64);
-            crate::compress::decompress(&bytes)
-        } else {
-            Ok(bytes)
-        }
-    };
-    let (image, stats) = read_data_image_parallel(version, &fetch, opts)?;
     stats.emit(rec);
     rec.event(
         "ckpt.restore.image",
@@ -385,7 +361,10 @@ mod tests {
                 let (got, stats) = read_data_image_parallel(
                     version,
                     &mem_fetch(&objects),
-                    &RestoreOptions { threads },
+                    &RestoreOptions {
+                        threads,
+                        ..Default::default()
+                    },
                 )
                 .unwrap();
                 assert_eq!(got, want, "version {version}, {threads} threads");
@@ -407,9 +386,15 @@ mod tests {
         let mut objects = build_layouts();
         objects.get_mut(&names::shard(1, 1)).unwrap()[3] ^= 0xFF;
         for threads in [1usize, 4] {
-            let err =
-                read_data_image_parallel(1, &mem_fetch(&objects), &RestoreOptions { threads })
-                    .unwrap_err();
+            let err = read_data_image_parallel(
+                1,
+                &mem_fetch(&objects),
+                &RestoreOptions {
+                    threads,
+                    ..Default::default()
+                },
+            )
+            .unwrap_err();
             assert!(
                 matches!(err, CkptError::ChecksumMismatch { .. }),
                 "{threads} threads: {err}"
@@ -441,8 +426,15 @@ mod tests {
     fn truncated_shard_reports_corrupt_not_panic() {
         let mut objects = build_layouts();
         objects.get_mut(&names::shard(1, 0)).unwrap().truncate(9);
-        let err = read_data_image_parallel(1, &mem_fetch(&objects), &RestoreOptions { threads: 3 })
-            .unwrap_err();
+        let err = read_data_image_parallel(
+            1,
+            &mem_fetch(&objects),
+            &RestoreOptions {
+                threads: 3,
+                ..Default::default()
+            },
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             CkptError::Corrupt(_) | CkptError::ChecksumMismatch { .. }

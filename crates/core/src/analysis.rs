@@ -29,8 +29,8 @@ use crate::site::{LeafRange, LeafSite};
 use crate::spec::{AppSpec, VarSpec};
 use scrutiny_ad::tape::TapeStats;
 use scrutiny_ad::{
-    AdError, Adj, DataDep, SweepConfig, SweepStats, Tape, TapeCheckpointConfig, TapeConfig,
-    TapeSession, Witness,
+    AdError, Adj, DataDep, Gradient, SweepConfig, SweepOptions, SweepStats, Tape,
+    TapeCheckpointConfig, TapeConfig, TapeReplay, TapeSession, Witness,
 };
 use scrutiny_ckpt::{Bitmap, DType, Regions};
 use scrutiny_obs::Recorder;
@@ -184,11 +184,27 @@ pub struct ScrutinyOptions {
     /// application's AD run to be deterministic (every NPB kernel is);
     /// nondeterminism is caught as [`AdError::ReplayDivergence`].
     pub tape_checkpoints: Option<TapeCheckpointConfig>,
-    /// Observability sink: record/sweep phase spans and the sweep gauges
-    /// the report's [`SweepStats`] views are derived from. The default is
-    /// [`Recorder::disabled`]; the analysis then uses a small private
-    /// recorder internally (stats still work, nothing is exported).
+    /// Observability sink for the analysis: the `core.analysis.record`
+    /// and `core.analysis.sweeps` phase spans, `core.tape.*` gauges, and
+    /// each sweep's `ad.sweep.<kind>` span and gauges. The report's
+    /// [`SweepStats`] are what the sweeps returned, emitted here after the
+    /// fact, never read back from it, so concurrent analyses may share one
+    /// recorder. The default, [`Recorder::disabled`], records nothing.
     pub recorder: Recorder,
+}
+
+impl ScrutinyOptions {
+    /// The per-sweep options: these threads and this recorder, plus the
+    /// replayer of a checkpointed tape.
+    fn sweep_options<'a>(&self, replay: Option<&'a dyn TapeReplay>) -> SweepOptions<'a> {
+        SweepOptions {
+            config: SweepConfig {
+                threads: self.threads,
+            },
+            replay,
+            recorder: self.recorder.clone(),
+        }
+    }
 }
 
 impl Default for ScrutinyOptions {
@@ -285,84 +301,26 @@ pub fn scrutinize(app: &dyn ScrutinyApp) -> Result<AnalysisReport, AdError> {
     scrutinize_with(app, &ScrutinyOptions::default())
 }
 
-/// [`scrutinize`] with an explicit tape capacity (nodes).
-pub fn scrutinize_with_capacity(
-    app: &dyn ScrutinyApp,
-    capacity: usize,
-) -> Result<AnalysisReport, AdError> {
-    scrutinize_with(
-        app,
-        &ScrutinyOptions {
-            capacity: Some(capacity),
-            ..ScrutinyOptions::default()
-        },
-    )
-}
-
 /// [`scrutinize`] with full control over segmentation, sweep threads and
 /// the analysis backend.
 pub fn scrutinize_with(
     app: &dyn ScrutinyApp,
     opts: &ScrutinyOptions,
 ) -> Result<AnalysisReport, AdError> {
-    match opts.analyzer {
-        Analyzer::Both => return scrutinize_differential(app, opts).map(|d| d.ad),
-        Analyzer::Ad | Analyzer::DataDep => {}
-    }
     let t0 = Instant::now();
-    let obs = effective_recorder(opts);
-    let rec = record_app(app, opts, &obs);
-    let cfg = SweepConfig {
-        threads: opts.threads,
-    };
-    let sweeps_span = scrutiny_obs::span!(obs, "core.analysis.sweeps");
-    match opts.analyzer {
-        Analyzer::Ad => {
-            let (grads, reach) = if opts.tape_checkpoints.is_some() {
-                // Checkpointed tape: the sweeps run sequentially — each
-                // replays evicted segments through a re-run of the
-                // application, and running them concurrently would fight
-                // over the same residency budget.
-                let replay = app_replayer(app);
-                let (grads, _) = rec
-                    .tape
-                    .gradient_sweep_replay_observed(rec.output, cfg, &replay, &obs)?;
-                let (reach, _) = rec
-                    .tape
-                    .reachable_sweep_replay_observed(rec.output, cfg, &replay, &obs)?;
-                (grads, reach)
-            } else {
-                // The two sweeps are independent; run them concurrently.
-                // Each may additionally parallelize its own frontier
-                // merging. They report into the recorder themselves
-                // (spans `ad.sweep.value` / `ad.sweep.reach`, gauges
-                // `ad.sweep.<kind>.*`).
-                let (value_res, reach_res) = std::thread::scope(|scope| {
-                    let reach =
-                        scope.spawn(|| rec.tape.reachable_sweep_observed(rec.output, cfg, &obs));
-                    let value = rec.tape.gradient_sweep_observed(rec.output, cfg, &obs);
-                    (value, reach.join().expect("structural sweep panicked"))
-                });
-                (value_res?.0, reach_res?.0)
-            };
-            drop(sweeps_span);
+    let rec = record_app(app, opts);
+    let sweeps = run_sweeps(app, &rec, opts)?;
+    Ok(match (sweeps.value, sweeps.reach, sweeps.datadep) {
+        (Some((grads, value)), Some((reach, reach_stats)), _) => {
             let vars = ad_vars(&rec, &grads, &reach);
-            Ok(rec.report(Analyzer::Ad, &obs, ("value", "reach"), vars, t0))
+            rec.report(Analyzer::Ad, opts, (value, reach_stats), vars, t0)
         }
-        Analyzer::DataDep => {
-            let dd = if opts.tape_checkpoints.is_some() {
-                let replay = app_replayer(app);
-                rec.tape
-                    .datadep_sweep_replay_observed(rec.output, cfg, &replay, &obs)?
-            } else {
-                rec.tape.datadep_sweep_observed(rec.output, cfg, &obs)?
-            };
-            drop(sweeps_span);
+        (_, _, Some(dd)) => {
             let vars = datadep_vars(&rec, &dd);
-            Ok(rec.report(Analyzer::DataDep, &obs, ("datadep", "datadep"), vars, t0))
+            rec.report(Analyzer::DataDep, opts, (dd.stats(), dd.stats()), vars, t0)
         }
-        Analyzer::Both => unreachable!("dispatched above"),
-    }
+        _ => unreachable!("run_sweeps runs every sweep the analyzer needs"),
+    })
 }
 
 /// The replay closure for bounded-memory sweeps: re-run the application's
@@ -384,52 +342,90 @@ pub fn scrutinize_differential(
     opts: &ScrutinyOptions,
 ) -> Result<DifferentialReport, AdError> {
     let t0 = Instant::now();
-    let obs = effective_recorder(opts);
-    let rec = record_app(app, opts, &obs);
-    let cfg = SweepConfig {
-        threads: opts.threads,
+    let opts = &ScrutinyOptions {
+        analyzer: Analyzer::Both,
+        ..opts.clone()
     };
-    let sweeps_span = scrutiny_obs::span!(obs, "core.analysis.sweeps");
-    let (grads, reach, dd) = if opts.tape_checkpoints.is_some() {
-        // Bounded-memory tape: all three sweeps share one residency
-        // budget, so they run sequentially, each replaying evicted
-        // segments as it walks.
-        let replay = app_replayer(app);
-        let (grads, _) = rec
-            .tape
-            .gradient_sweep_replay_observed(rec.output, cfg, &replay, &obs)?;
-        let (reach, _) = rec
-            .tape
-            .reachable_sweep_replay_observed(rec.output, cfg, &replay, &obs)?;
-        let dd = rec
-            .tape
-            .datadep_sweep_replay_observed(rec.output, cfg, &replay, &obs)?;
-        (grads, reach, dd)
-    } else {
-        let (value_res, reach_res, dd_res) = std::thread::scope(|scope| {
-            let reach = scope.spawn(|| rec.tape.reachable_sweep_observed(rec.output, cfg, &obs));
-            let dd = scope.spawn(|| rec.tape.datadep_sweep_observed(rec.output, cfg, &obs));
-            let value = rec.tape.gradient_sweep_observed(rec.output, cfg, &obs);
-            (
-                value,
-                reach.join().expect("structural sweep panicked"),
-                dd.join().expect("datadep sweep panicked"),
-            )
-        });
-        (value_res?.0, reach_res?.0, dd_res?)
+    let rec = record_app(app, opts);
+    let Sweeps {
+        value: Some((grads, value)),
+        reach: Some((reach, reach_stats)),
+        datadep: Some(dd),
+    } = run_sweeps(app, &rec, opts)?
+    else {
+        unreachable!("Analyzer::Both runs all three sweeps")
     };
-    drop(sweeps_span);
 
     let ad_vars = ad_vars(&rec, &grads, &reach);
     let dd_vars = datadep_vars(&rec, &dd);
     let disagreements = classify_disagreements(&rec, &ad_vars, &dd_vars, &dd);
 
-    let datadep = rec.report(Analyzer::DataDep, &obs, ("datadep", "datadep"), dd_vars, t0);
-    let ad = rec.report(Analyzer::Ad, &obs, ("value", "reach"), ad_vars, t0);
+    let dd_stats = (dd.stats(), dd.stats());
+    let datadep = rec.report(Analyzer::DataDep, opts, dd_stats, dd_vars, t0);
+    let ad = rec.report(Analyzer::Ad, opts, (value, reach_stats), ad_vars, t0);
     Ok(DifferentialReport {
         ad,
         datadep,
         disagreements,
+    })
+}
+
+/// The sweeps one analysis ran; `None` for those its analyzer skips.
+struct Sweeps {
+    value: Option<(Gradient, SweepStats)>,
+    reach: Option<(Vec<bool>, SweepStats)>,
+    datadep: Option<DataDep>,
+}
+
+/// Run the sweeps `opts.analyzer` needs — value and reach for
+/// [`Analyzer::Ad`], datadep for [`Analyzer::DataDep`], all three for
+/// [`Analyzer::Both`] — each reporting into `opts.recorder` (spans
+/// `ad.sweep.<kind>`, gauges `ad.sweep.<kind>.*`).
+///
+/// On a checkpointed tape the sweeps share one residency budget, so they
+/// run one after another, each replaying evicted segments through a
+/// re-run of the application. Otherwise they are independent and run
+/// concurrently, each possibly parallel internally.
+fn run_sweeps(
+    app: &dyn ScrutinyApp,
+    rec: &Recorded,
+    opts: &ScrutinyOptions,
+) -> Result<Sweeps, AdError> {
+    let (ad, datadep) = match opts.analyzer {
+        Analyzer::Ad => (true, false),
+        Analyzer::DataDep => (false, true),
+        Analyzer::Both => (true, true),
+    };
+    let (tape, out) = (&rec.tape, rec.output);
+    let _span = scrutiny_obs::span!(opts.recorder, "core.analysis.sweeps");
+    if opts.tape_checkpoints.is_some() {
+        let replay = app_replayer(app);
+        let sweep_opts = opts.sweep_options(Some(&replay));
+        return Ok(Sweeps {
+            value: ad
+                .then(|| tape.gradient_sweep(out, sweep_opts.clone()))
+                .transpose()?,
+            reach: ad
+                .then(|| tape.reachable_sweep(out, sweep_opts.clone()))
+                .transpose()?,
+            datadep: datadep
+                .then(|| tape.datadep_sweep(out, sweep_opts.clone()))
+                .transpose()?,
+        });
+    }
+    std::thread::scope(|scope| {
+        let reach = ad.then(|| scope.spawn(|| tape.reachable_sweep(out, opts.sweep_options(None))));
+        let dd = datadep.then(|| scope.spawn(|| tape.datadep_sweep(out, opts.sweep_options(None))));
+        let value = ad.then(|| tape.gradient_sweep(out, opts.sweep_options(None)));
+        Ok(Sweeps {
+            value: value.transpose()?,
+            reach: reach
+                .map(|h| h.join().expect("structural sweep panicked"))
+                .transpose()?,
+            datadep: dd
+                .map(|h| h.join().expect("datadep sweep panicked"))
+                .transpose()?,
+        })
     })
 }
 
@@ -448,19 +444,14 @@ struct Recorded {
 
 impl Recorded {
     /// Interpret one analyzer's sweep results as an [`AnalysisReport`]
-    /// over this recording. Borrowing lets the differential path build
-    /// two reports over the same tape.
-    ///
-    /// The report's [`SweepStats`] are not plumbed through as arguments:
-    /// the observed sweeps exported them as `ad.sweep.<kind>.*` gauges,
-    /// and this reads them back via [`SweepStats::from_snapshot`] — the
-    /// stats struct is a *view* over obs data. `kinds` names the
-    /// `(value, structural)` sweep kinds this report describes.
+    /// over this recording, with the `(criterion, structural)` stats the
+    /// sweeps returned. Borrowing lets the differential path build two
+    /// reports over the same tape.
     fn report(
         &self,
         analyzer: Analyzer,
-        obs: &Recorder,
-        kinds: (&str, &str),
+        opts: &ScrutinyOptions,
+        (sweep, reach_sweep): (SweepStats, SweepStats),
         vars: Vec<VarCriticality>,
         t0: Instant,
     ) -> AnalysisReport {
@@ -469,17 +460,17 @@ impl Recorded {
             .enumerate()
             .map(|(i, v)| (v.spec.name.clone(), i))
             .collect();
-        let snap = obs.snapshot();
         let analysis_seconds = t0.elapsed().as_secs_f64();
-        obs.record("core.analysis_us", (analysis_seconds * 1e6) as u64);
+        opts.recorder
+            .record("core.analysis_us", (analysis_seconds * 1e6) as u64);
         AnalysisReport {
             app: self.spec.clone(),
             analyzer,
             ckpt_iter: self.ckpt_iter,
             output_value: self.output.value(),
             tape_stats: self.tape.stats(),
-            sweep: SweepStats::from_snapshot(&snap, kinds.0).unwrap_or_default(),
-            reach_sweep: SweepStats::from_snapshot(&snap, kinds.1).unwrap_or_default(),
+            sweep,
+            reach_sweep,
             analysis_seconds,
             vars,
             by_name,
@@ -487,20 +478,10 @@ impl Recorded {
     }
 }
 
-/// The recorder an analysis reports into: the caller's when enabled,
-/// otherwise a small private one — the report's stats views read from it
-/// either way, nothing else escapes.
-fn effective_recorder(opts: &ScrutinyOptions) -> Recorder {
-    if opts.recorder.is_enabled() {
-        opts.recorder.clone()
-    } else {
-        Recorder::with_capacity(256)
-    }
-}
-
 /// Run the application once under AD with leaves injected at the
 /// checkpoint boundary.
-fn record_app(app: &dyn ScrutinyApp, opts: &ScrutinyOptions, obs: &Recorder) -> Recorded {
+fn record_app(app: &dyn ScrutinyApp, opts: &ScrutinyOptions) -> Recorded {
+    let obs = &opts.recorder;
     let spec = app.spec();
     let record_span = scrutiny_obs::span!(obs, "core.analysis.record", app = spec.name.as_str());
     let session = TapeSession::with_config(TapeConfig {
@@ -613,7 +594,7 @@ fn classify_vars(
 
 /// AD verdicts: value bit from the adjoint, structural bit from
 /// reachability, magnitude from |adjoint|.
-fn ad_vars(rec: &Recorded, grads: &scrutiny_ad::Gradient, reach: &[bool]) -> Vec<VarCriticality> {
+fn ad_vars(rec: &Recorded, grads: &Gradient, reach: &[bool]) -> Vec<VarCriticality> {
     classify_vars(
         &rec.spec,
         &rec.ranges,

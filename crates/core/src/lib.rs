@@ -71,8 +71,8 @@ pub mod spec;
 pub mod tiny;
 
 pub use analysis::{
-    scrutinize, scrutinize_differential, scrutinize_with, scrutinize_with_capacity, AnalysisReport,
-    Analyzer, DifferentialReport, Disagreement, DisagreementKind, ScrutinyOptions, VarCriticality,
+    scrutinize, scrutinize_differential, scrutinize_with, AnalysisReport, Analyzer,
+    DifferentialReport, Disagreement, DisagreementKind, ScrutinyOptions, VarCriticality,
 };
 pub use app::{RunOutcome, ScrutinyApp};
 pub use plan::{codec_for, Policy};
@@ -93,8 +93,10 @@ pub use scrutiny_ad::{
     TapeReplay, Witness,
 };
 // Re-export the observability substrate: every layer below reports into a
-// [`Recorder`], and the stats structs are views over its snapshots.
-pub use scrutiny_ckpt::{Bitmap, DType, FillPolicy, Regions, VarData, VarPlan, VarRecord};
+// [`Recorder`], emitting the stats structs it also returns.
+pub use scrutiny_ckpt::{
+    Bitmap, DType, FillPolicy, Regions, StorageBreakdown, VarData, VarPlan, VarRecord,
+};
 pub use scrutiny_obs::{point, span, FieldValue, Recorder, Snapshot as ObsSnapshot, SpanView};
 // Re-export the async checkpoint engine (and its recovery side) so
 // applications wire one crate.

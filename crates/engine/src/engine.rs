@@ -228,6 +228,8 @@ struct EngineObs {
     submissions: Counter,
     commits: Counter,
     publish_failures: Counter,
+    /// Retention sweeps that failed after a successful publish.
+    retention_failures: Counter,
     /// Pre-compression bytes fed to the at-rest codec (delta-mode and
     /// monolithic/sharded data objects alike); 0 with `AtRest::None`.
     raw_bytes: Counter,
@@ -247,6 +249,7 @@ impl EngineObs {
             submissions: rec.counter("engine.submissions"),
             commits: rec.counter("engine.commits"),
             publish_failures: rec.counter("engine.publish_failures"),
+            retention_failures: rec.counter("engine.retention_failures"),
             raw_bytes: rec.counter("engine.raw_bytes"),
             compressed_bytes: rec.counter("engine.compressed_bytes"),
             rec,
@@ -694,7 +697,7 @@ fn finish_submission(shared: &Shared, sub: &Submission) -> Result<(), EngineErro
         }
     }
 
-    apply_retention(shared);
+    apply_retention(shared, sub.version);
     // Close the publish span before the ticket resolves: a waiter may
     // snapshot the recorder the moment `wait` returns, and must not see
     // its own completed epoch as an open span.
@@ -726,11 +729,21 @@ fn commit_span(obs: &EngineObs, start_us: u64, version: u64, object: &str, marke
 /// The checkpoint is durably committed when this runs, so retention is
 /// best-effort: a transient sweep failure must not resolve the ticket as
 /// Err (a caller would resubmit a checkpoint that exists). A version the
-/// sweep misses is retried by the next submission's sweep. The sweep is
+/// sweep misses is retried by the next submission's sweep. A failed
+/// sweep after publishing `version` counts into
+/// `engine.retention_failures` and emits an `engine.retention_failed`
+/// point, so a store that stops shrinking says why. The sweep is
 /// chain-aware: it keeps every ancestor a retained delta restores through.
-fn apply_retention(shared: &Shared) {
-    if let Some(keep) = shared.cfg.keep {
-        let _ = prune_chain_aware(shared.backend.as_ref(), keep);
+fn apply_retention(shared: &Shared, version: u64) {
+    let Some(keep) = shared.cfg.keep else { return };
+    if let Err(e) = prune_chain_aware(shared.backend.as_ref(), keep) {
+        shared.obs.retention_failures.inc();
+        point!(
+            shared.obs.rec,
+            "engine.retention_failed",
+            version = version,
+            error = e.to_string()
+        );
     }
 }
 
@@ -823,7 +836,7 @@ fn finish_delta(
             s.prev = Some((v, image));
             s.deltas_since_base = new_deltas_since_base;
             drop(s);
-            apply_retention(shared);
+            apply_retention(shared, sub.version);
             // Span end before resolve — see `finish_submission`.
             drop(publish);
             shared.resolve(sub, Ok(breakdown));
@@ -1166,6 +1179,68 @@ mod tests {
         }
         assert_eq!(list_versions(mem.as_ref()).unwrap(), vec![4, 5]);
         assert!(read_version(mem.as_ref(), 5).is_ok());
+    }
+
+    #[test]
+    fn failed_retention_sweep_is_counted_and_logged() {
+        let mem = Arc::new(MemBackend::new());
+        let cfg = EngineConfig {
+            workers: 2,
+            keep: Some(2),
+            delta: Some(DeltaPolicy {
+                page_bytes: 256,
+                rebase_every: 16,
+            }),
+            codec: CodecConfig {
+                at_rest: AtRest::Auto,
+                ..Default::default()
+            },
+            recorder: Recorder::new(),
+            ..Default::default()
+        };
+        let eng = EngineHandle::open(mem.clone(), cfg).unwrap();
+        // Smooth values, so the bit-plane codec compresses every object.
+        let mut vars = vec![VarRecord::new(
+            "u",
+            VarData::F64((0..2048).map(|i| 1.0 + i as f64 * 1e-7).collect()),
+        )];
+        let plans = vec![VarPlan::Full];
+        let mut publish = |epoch: usize| {
+            if let VarData::F64(v) = &mut vars[0].data {
+                v[epoch * 64] += 1e-3;
+            }
+            let t = eng.submit(&vars, &plans).unwrap();
+            eng.wait(t).unwrap();
+        };
+        let failures = || {
+            eng.recorder()
+                .snapshot()
+                .counter("engine.retention_failures")
+                .unwrap_or(0)
+        };
+        for epoch in 0..3 {
+            publish(epoch);
+        }
+        assert_eq!(failures(), 0, "an intact chain prunes cleanly");
+
+        // Damage version 2, a compressed delta inside the keep window:
+        // the next sweep cannot read its parent pointer.
+        let delta = mem.get(&names::delta(2)).unwrap();
+        assert!(scrutiny_ckpt::compress::is_container(&delta));
+        mem.put(&names::delta(2), &delta[..delta.len() / 2])
+            .unwrap();
+        publish(3);
+        assert_eq!(failures(), 1, "the failed sweep is counted");
+        let snap = eng.recorder().snapshot();
+        let failed: Vec<_> = snap.events_named("engine.retention_failed").collect();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0]
+            .fields
+            .iter()
+            .any(|(k, v)| k == "version" && *v == scrutiny_obs::FieldValue::U64(3)));
+        // Retention stays best-effort: the publish succeeded and nothing
+        // was pruned.
+        assert_eq!(list_versions(mem.as_ref()).unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]

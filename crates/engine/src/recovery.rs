@@ -32,7 +32,7 @@
 use crate::backend::StorageBackend;
 use crate::error::EngineError;
 use scrutiny_ckpt::names::{self, CkptName};
-use scrutiny_ckpt::restore::{read_data_image_parallel_obs, RestoreOptions, RestoreStats};
+use scrutiny_ckpt::restore::{read_data_image_parallel, RestoreOptions, RestoreStats};
 use scrutiny_ckpt::{Checkpoint, CkptError};
 use scrutiny_obs::{span, Recorder, Snapshot};
 use std::collections::BTreeSet;
@@ -226,13 +226,13 @@ impl RecoveryManager {
         }
         let backend = self.backend.as_ref();
         let aux = backend.get(&names::aux(version))?;
-        let (data, stats) = read_data_image_parallel_obs(
+        let (data, stats) = read_data_image_parallel(
             version,
             &|name: &str| backend.get(name),
             &RestoreOptions {
                 threads: self.cfg.threads,
+                recorder: self.cfg.recorder.clone(),
             },
-            &self.cfg.recorder,
         )?;
         let checkpoint = Checkpoint::from_bytes(&data, &aux)?;
         Ok((data, aux, checkpoint, stats))

@@ -18,9 +18,10 @@
 use crate::{Cg, Ft};
 use scrutiny_core::restart::capture_state;
 use scrutiny_core::{
-    checkpoint_recover_cycle_async, checkpoint_restart_cycle_async, scrutinize_with,
-    submit_checkpoint, AnalysisReport, EngineError, EngineHandle, Policy, Recorder, RecoveryConfig,
-    RestartConfig, ScrutinyApp, ScrutinyOptions, TapeCheckpointConfig, VarData, VarRecord,
+    checkpoint_recover_cycle_async, checkpoint_restart_cycle_async, point, scrutinize_with,
+    submit_checkpoint, AnalysisReport, EngineError, EngineHandle, Policy, RecoveryConfig,
+    RestartConfig, ScrutinyApp, ScrutinyOptions, StorageBreakdown, TapeCheckpointConfig, Ticket,
+    VarData, VarRecord,
 };
 use scrutiny_faultinj::StorageScenario;
 
@@ -53,30 +54,17 @@ pub struct BurnInReport {
 
 /// Run `epochs` checkpoint periods of `app` through `engine`, then verify
 /// by restarting from the engine's newest checkpoint.
+///
+/// Each resolved epoch emits an `npb.epoch` event on the engine's
+/// recorder ([`scrutiny_core::EngineConfig::recorder`]), so with an
+/// enabled recorder the per-epoch trajectory interleaves with the
+/// engine's submit/publish/commit spans in one log.
 pub fn burn_in(
     app: &dyn ScrutinyApp,
     analysis: &AnalysisReport,
     engine: &EngineHandle,
     epochs: usize,
     policy: Policy,
-) -> Result<BurnInReport, EngineError> {
-    burn_in_observed(app, analysis, engine, epochs, policy, &Recorder::disabled())
-}
-
-/// [`burn_in`] reporting into a [`Recorder`]: each resolved epoch emits
-/// an `npb.epoch` event (`epoch`, `version`, `payload_bytes`,
-/// `total_bytes`, `wait_us`), so a JSONL dump of the recorder carries
-/// the whole per-epoch trajectory. Pass the same recorder the engine
-/// was opened with ([`scrutiny_core::EngineConfig::recorder`]) and the
-/// epoch events interleave with the engine's submit/publish/commit
-/// spans in one log.
-pub fn burn_in_observed(
-    app: &dyn ScrutinyApp,
-    analysis: &AnalysisReport,
-    engine: &EngineHandle,
-    epochs: usize,
-    policy: Policy,
-    rec: &Recorder,
 ) -> Result<BurnInReport, EngineError> {
     if epochs == 0 {
         return Err(EngineError::InvalidConfig(
@@ -92,20 +80,7 @@ pub fn burn_in_observed(
     }
     let mut epoch_payload_bytes = Vec::with_capacity(epochs);
     for (epoch, t) in tickets.into_iter().enumerate() {
-        let version = t.version();
-        let t0 = rec.now_us();
-        let storage = engine.wait(t)?;
-        rec.event(
-            "npb.epoch",
-            &[
-                ("epoch", epoch.into()),
-                ("version", version.into()),
-                ("payload_bytes", storage.payload_bytes.into()),
-                ("total_bytes", storage.total().into()),
-                ("wait_us", rec.now_us().saturating_sub(t0).into()),
-            ],
-        );
-        epoch_payload_bytes.push(storage.payload_bytes);
+        epoch_payload_bytes.push(wait_epoch(engine, epoch, t)?.payload_bytes);
     }
     let cfg = RestartConfig {
         policy,
@@ -123,6 +98,30 @@ pub fn burn_in_observed(
         verified: report.verified,
         rel_err: report.rel_err,
     })
+}
+
+/// Wait for epoch `epoch`'s `ticket` to publish and emit its `npb.epoch`
+/// event (`epoch`, `version`, `payload_bytes`, `total_bytes`, `wait_us`)
+/// on the engine's recorder.
+fn wait_epoch(
+    engine: &EngineHandle,
+    epoch: usize,
+    ticket: Ticket,
+) -> Result<StorageBreakdown, EngineError> {
+    let rec = engine.recorder();
+    let version = ticket.version();
+    let t0 = rec.now_us();
+    let storage = engine.wait(ticket)?;
+    point!(
+        rec,
+        "npb.epoch",
+        epoch = epoch,
+        version = version,
+        payload_bytes = storage.payload_bytes,
+        total_bytes = storage.total(),
+        wait_us = rec.now_us().saturating_sub(t0),
+    );
+    Ok(storage)
 }
 
 /// Outcome of one [`burn_in_delta`] run.
@@ -187,25 +186,13 @@ pub fn perturb_localized(vars: &mut [VarRecord], epoch: usize) {
 /// rebase whenever the configured chain length is reached — and the run
 /// ends with a restart-verification from the newest engine-written
 /// checkpoint, which restores base → deltas through the standard reader.
+/// Epochs emit `npb.epoch` events like [`burn_in`]'s.
 pub fn burn_in_delta(
     app: &dyn ScrutinyApp,
     analysis: &AnalysisReport,
     engine: &EngineHandle,
     epochs: usize,
     policy: Policy,
-) -> Result<DeltaBurnInReport, EngineError> {
-    burn_in_delta_observed(app, analysis, engine, epochs, policy, &Recorder::disabled())
-}
-
-/// [`burn_in_delta`] reporting into a [`Recorder`]: each resolved epoch
-/// emits an `npb.epoch` event, like [`burn_in_observed`].
-pub fn burn_in_delta_observed(
-    app: &dyn ScrutinyApp,
-    analysis: &AnalysisReport,
-    engine: &EngineHandle,
-    epochs: usize,
-    policy: Policy,
-    rec: &Recorder,
 ) -> Result<DeltaBurnInReport, EngineError> {
     if epochs < 2 {
         return Err(EngineError::InvalidConfig(
@@ -220,20 +207,7 @@ pub fn burn_in_delta_observed(
             perturb_localized(&mut vars, epoch);
         }
         let ticket = engine.submit(&vars, &plans)?;
-        let version = ticket.version();
-        let t0 = rec.now_us();
-        let storage = engine.wait(ticket)?;
-        rec.event(
-            "npb.epoch",
-            &[
-                ("epoch", epoch.into()),
-                ("version", version.into()),
-                ("payload_bytes", storage.payload_bytes.into()),
-                ("total_bytes", storage.total().into()),
-                ("wait_us", rec.now_us().saturating_sub(t0).into()),
-            ],
-        );
-        bytes.push(storage.total());
+        bytes.push(wait_epoch(engine, epoch, ticket)?.total());
     }
     let cfg = RestartConfig {
         policy,
@@ -318,6 +292,14 @@ pub fn perturb_uncritical(vars: &mut [VarRecord], analysis: &AnalysisReport, epo
 /// the resumed trajectory from it. The report names the damaged object,
 /// the rejected versions, and the version the run actually resumed
 /// from.
+///
+/// Everything reports into the engine's recorder: per-epoch `npb.epoch`
+/// events, the fault injection as a `faultinj.inject` event, and the
+/// recovery scan's candidate/reject/recovered events. With an enabled
+/// recorder the resulting JSONL dump is a complete record of the
+/// lifecycle — every submit, publish, commit, the injected damage, and
+/// the fallback walk — with no other output needed
+/// (`tests/obs_lifecycle.rs` holds that contract).
 pub fn burn_in_recover(
     app: &dyn ScrutinyApp,
     analysis: &AnalysisReport,
@@ -325,35 +307,6 @@ pub fn burn_in_recover(
     epochs: usize,
     policy: Policy,
     scenario: StorageScenario,
-) -> Result<RecoveryBurnInReport, EngineError> {
-    burn_in_recover_observed(
-        app,
-        analysis,
-        engine,
-        epochs,
-        policy,
-        scenario,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`burn_in_recover`] reporting into a [`Recorder`]: per-epoch
-/// `npb.epoch` events, the fault injection as a `faultinj.inject` event,
-/// and the recovery scan's candidate/reject/recovered events all land in
-/// one log. With the engine opened on the same recorder
-/// ([`scrutiny_core::EngineConfig::recorder`]), the resulting JSONL dump
-/// is a complete record of the lifecycle — every submit, publish,
-/// commit, the injected damage, and the fallback walk — with no other
-/// output needed (`tests/obs_lifecycle.rs` holds that contract).
-#[allow(clippy::too_many_arguments)]
-pub fn burn_in_recover_observed(
-    app: &dyn ScrutinyApp,
-    analysis: &AnalysisReport,
-    engine: &EngineHandle,
-    epochs: usize,
-    policy: Policy,
-    scenario: StorageScenario,
-    rec: &Recorder,
 ) -> Result<RecoveryBurnInReport, EngineError> {
     if epochs < 2 {
         return Err(EngineError::InvalidConfig(
@@ -369,28 +322,17 @@ pub fn burn_in_recover_observed(
         }
         let ticket = engine.submit(&vars, &plans)?;
         newest = ticket.version();
-        let t0 = rec.now_us();
-        let storage = engine.wait(ticket)?;
-        rec.event(
-            "npb.epoch",
-            &[
-                ("epoch", epoch.into()),
-                ("version", newest.into()),
-                ("payload_bytes", storage.payload_bytes.into()),
-                ("total_bytes", storage.total().into()),
-                ("wait_us", rec.now_us().saturating_sub(t0).into()),
-            ],
-        );
+        wait_epoch(engine, epoch, ticket)?;
     }
     let damaged = scenario
-        .inject_obs(engine.backend().as_ref(), newest, rec)
+        .inject_obs(engine.backend().as_ref(), newest, engine.recorder())
         .map_err(EngineError::from)?;
     let cfg = RestartConfig {
         policy,
         ..Default::default()
     };
     let recovery = RecoveryConfig {
-        recorder: rec.clone(),
+        recorder: engine.recorder().clone(),
         ..Default::default()
     };
     let report = checkpoint_recover_cycle_async(app, analysis, &cfg, engine, &recovery)?;
@@ -498,7 +440,7 @@ pub fn burn_in_bounded(
     };
     let ckpt = TapeCheckpointConfig::with_ncheckpoints(ncheckpoints);
     let (unbounded, bounded) = scrutinize_bounded_vs_unbounded(app, &opts, ckpt)?;
-    let burn_in = burn_in_observed(app, &bounded, engine, epochs, policy, &Recorder::disabled())?;
+    let burn_in = burn_in(app, &bounded, engine, epochs, policy)?;
     Ok(BoundedBurnInReport {
         burn_in,
         unbounded_tape_bytes: unbounded.tape_stats.bytes,

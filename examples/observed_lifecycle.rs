@@ -10,7 +10,7 @@ use scrutiny_core::{
     scrutinize_with, EngineConfig, EngineHandle, MemBackend, Policy, RecoveryWalk, ScrutinyOptions,
 };
 use scrutiny_faultinj::StorageScenario;
-use scrutiny_npb::{burn_in_recover_observed, Cg};
+use scrutiny_npb::{burn_in_recover, Cg};
 use scrutiny_obs::Recorder;
 use scrutiny_viz::timeline_svg;
 use std::path::PathBuf;
@@ -42,14 +42,13 @@ fn main() {
     .unwrap();
     // ...then damage the newest checkpoint and recover through the
     // fallback scan. Every step lands in the same event ring.
-    let report = burn_in_recover_observed(
+    let report = burn_in_recover(
         &app,
         &analysis,
         &engine,
         3,
         Policy::PrunedValue,
         StorageScenario::FlippedPayloadByte,
-        &rec,
     )
     .unwrap();
 

@@ -181,7 +181,10 @@ fn compressed_engines_restore_bit_identically_in_every_layout() {
                 let (image, _) = scrutiny_ckpt::read_data_image_parallel(
                     version,
                     &fetch,
-                    &RestoreOptions { threads },
+                    &RestoreOptions {
+                        threads,
+                        ..Default::default()
+                    },
                 )
                 .unwrap();
                 assert_eq!(want.0, image, "{label} v{version} parallel x{threads}");

@@ -9,7 +9,7 @@
 use scrutiny_core::{scrutinize, EngineConfig, EngineHandle, MemBackend, Policy, RecoveryWalk};
 use scrutiny_engine::{DeltaPolicy, StorageBackend};
 use scrutiny_faultinj::StorageScenario;
-use scrutiny_npb::{burn_in_recover_observed, Cg};
+use scrutiny_npb::{burn_in_recover, Cg};
 use scrutiny_obs::{validate_jsonl, FieldValue, Recorder, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -53,14 +53,13 @@ fn recovery_lifecycle_reconstructs_from_jsonl_alone() {
     .unwrap();
     let app = Cg::mini();
     let analysis = scrutinize(&app).unwrap();
-    let report = burn_in_recover_observed(
+    let report = burn_in_recover(
         &app,
         &analysis,
         &engine,
         EPOCHS,
         Policy::Full,
         StorageScenario::FlippedPayloadByte,
-        &rec,
     )
     .unwrap();
 
@@ -329,11 +328,13 @@ fn compression_spans_and_byte_counters_cover_publish_and_restore() {
     // Restore version 0 through the observed pipeline so the decode side
     // lands in the same log.
     let fetch = |name: &str| mem.get(name);
-    let (image, _) = scrutiny_ckpt::read_data_image_parallel_obs(
+    let (image, _) = scrutiny_ckpt::read_data_image_parallel(
         0,
         &fetch,
-        &scrutiny_engine::RestoreOptions { threads: 2 },
-        &rec,
+        &scrutiny_engine::RestoreOptions {
+            threads: 2,
+            recorder: rec.clone(),
+        },
     )
     .unwrap();
     assert!(!image.is_empty());

@@ -304,8 +304,15 @@ fn load_parallel_matches_serial_load_on_a_store_chain() {
     }
     for v in 0..5u64 {
         let serial = Checkpoint::load(&dir, v).unwrap();
-        let (parallel, stats) =
-            Checkpoint::load_parallel(&dir, v, &RestoreOptions { threads: 3 }).unwrap();
+        let (parallel, stats) = Checkpoint::load_parallel(
+            &dir,
+            v,
+            &RestoreOptions {
+                threads: 3,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert!(stats.image_bytes > 0);
         let (vars, _) = epoch_state(v);
         let VarData::F64(_) = &vars[0].data else {
@@ -366,7 +373,7 @@ proptest! {
             let (got, stats) = read_data_image_parallel(
                 v,
                 &|name: &str| mem.get(name),
-                &RestoreOptions { threads },
+                &RestoreOptions { threads, ..Default::default() },
             ).unwrap();
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(stats.image_bytes, want.len());

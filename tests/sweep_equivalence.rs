@@ -6,9 +6,20 @@
 //! CI runs this in release next to the engine stress suite: frontier-merge
 //! ordering races would hide behind debug-mode timing otherwise.
 
-use scrutiny_ad::{Adj, SweepConfig, Tape, TapeCheckpointConfig, TapeConfig, TapeSession};
+use scrutiny_ad::{
+    Adj, SweepConfig, SweepOptions, Tape, TapeCheckpointConfig, TapeConfig, TapeReplay, TapeSession,
+};
 use scrutiny_core::{scrutinize, scrutinize_with, LeafSite, ScrutinyApp, ScrutinyOptions};
 use scrutiny_npb::{Bt, Cg, Ft};
+
+/// Sweep options re-recording evicted segments through `replay`.
+fn replaying(config: SweepConfig, replay: &dyn TapeReplay) -> SweepOptions<'_> {
+    SweepOptions {
+        config,
+        replay: Some(replay),
+        ..SweepOptions::default()
+    }
+}
 
 /// Record one AD run of `app` through the checkpoint boundary, the way
 /// `scrutinize` does, on a tape with the given segment length.
@@ -125,7 +136,9 @@ fn check_checkpointed(app: &dyn ScrutinyApp) {
             } else {
                 SweepConfig::with_threads(threads)
             };
-            let (grads, gstats) = bounded.gradient_sweep_replay(out_b, cfg, &replay).unwrap();
+            let (grads, gstats) = bounded
+                .gradient_sweep(out_b, replaying(cfg, &replay))
+                .unwrap();
             assert!(
                 gstats.peak_resident_bytes <= budget,
                 "{name}: value sweep peak {} over budget {budget} \
@@ -140,13 +153,17 @@ fn check_checkpointed(app: &dyn ScrutinyApp) {
                      (ncheckpoints={n}, threads={threads})"
                 );
             }
-            let (reach, _) = bounded.reachable_sweep_replay(out_b, cfg, &replay).unwrap();
+            let (reach, _) = bounded
+                .reachable_sweep(out_b, replaying(cfg, &replay))
+                .unwrap();
             assert_eq!(
                 base_reach, reach,
                 "{name}: reachability diverged under replay \
                  (ncheckpoints={n}, threads={threads})"
             );
-            let dd = bounded.datadep_sweep_replay(out_b, cfg, &replay).unwrap();
+            let dd = bounded
+                .datadep_sweep(out_b, replaying(cfg, &replay))
+                .unwrap();
             assert_eq!(
                 dd.live_bits(),
                 &reach[..],
