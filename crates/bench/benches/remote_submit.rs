@@ -4,9 +4,10 @@
 //! the same `DirBackend` layout).
 //!
 //! The daemon adds framing, one request/response round trip per object,
-//! and a second copy of every payload — the explicit section at the end
-//! reports the per-epoch latency ratio and the raw PUT throughput so
-//! regressions in the protocol path are visible as numbers, not vibes.
+//! and one copy of every payload into its PUT frame — the explicit
+//! section at the end reports the per-epoch latency ratio and the raw
+//! PUT throughput so regressions in the protocol path are visible as
+//! numbers, not vibes.
 //!
 //! Run with: `cargo bench -p scrutiny-bench --bench remote_submit`
 

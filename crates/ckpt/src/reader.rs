@@ -157,6 +157,18 @@ impl<'a> Cursor<'a> {
     fn i64(&mut self) -> Result<i64, CkptError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+    /// Check that `n` items of at least `min_bytes` each fit in the
+    /// bytes left, so a count read from the file never drives an
+    /// allocation larger than the file itself.
+    fn fits(&self, n: u64, min_bytes: usize, what: &str) -> Result<usize, CkptError> {
+        let room = (self.buf.len() - self.pos) / min_bytes;
+        if n > room as u64 {
+            return Err(CkptError::Corrupt(format!(
+                "implausible {what} count {n}: at most {room} fit in the remaining bytes"
+            )));
+        }
+        Ok(n as usize)
+    }
     fn name(&mut self) -> Result<String, CkptError> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
@@ -182,10 +194,8 @@ fn check_envelope<'a>(buf: &'a [u8], magic: &[u8; 8], what: &str) -> Result<&'a 
 }
 
 fn read_runs(c: &mut Cursor) -> Result<Regions, CkptError> {
-    let n = c.u64()? as usize;
-    if n > 1 << 32 {
-        return Err(CkptError::Corrupt(format!("implausible run count {n}")));
-    }
+    let n = c.u64()?;
+    let n = c.fits(n, 16, "run")?;
     let mut runs = Vec::with_capacity(n);
     for _ in 0..n {
         let start = c.u64()?;
@@ -205,7 +215,9 @@ impl Checkpoint {
         let body = check_envelope(aux, b"SCRUTAUX", "auxiliary")?;
         let mut c = Cursor { buf: body, pos: 8 };
         let _ver = c.u32()?;
-        let nvars = c.u32()? as usize;
+        // Each entry is at least a name length and a mode byte.
+        let nvars = c.u32()?;
+        let nvars = c.fits(nvars.into(), 3, "variable")?;
         let mut plans: Vec<(String, VarPlan)> = Vec::with_capacity(nvars);
         for _ in 0..nvars {
             let name = c.name()?;
@@ -256,7 +268,8 @@ impl Checkpoint {
             let mut stored_i = Vec::new();
             match mode {
                 MODE_FULL | MODE_PRUNED => {
-                    let count = c.u64()? as usize;
+                    let count = c.u64()?;
+                    let count = c.fits(count, dtype.elem_bytes(), "element")?;
                     match dtype {
                         DType::F64 => {
                             stored.reserve(count);
@@ -573,5 +586,45 @@ mod tests {
         let vars = vec![VarRecord::new("u", VarData::F64(vec![1.0]))];
         let ser = serialize(&vars, &[VarPlan::Full]).unwrap();
         assert!(Checkpoint::from_bytes(&ser.aux, &ser.aux).is_err());
+    }
+
+    /// An auxiliary image with a valid CRC around `body` (magic excluded).
+    fn sealed_aux(body: &[u8]) -> Vec<u8> {
+        let mut aux = b"SCRUTAUX".to_vec();
+        aux.extend_from_slice(body);
+        let crc = crc32(&aux);
+        aux.extend_from_slice(&crc.to_le_bytes());
+        aux
+    }
+
+    #[test]
+    fn hostile_counts_in_aux_are_corrupt_not_allocations() {
+        let data = serialize(
+            &[VarRecord::new("u", VarData::F64(vec![1.0]))],
+            &[VarPlan::Full],
+        )
+        .unwrap()
+        .data;
+        // 32 bytes: one pruned variable "u" announcing 2^32 runs
+        // (a 64 GiB `Vec<Region>` if trusted).
+        let mut body = crate::writer::FORMAT_VERSION.to_le_bytes().to_vec();
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&1u16.to_le_bytes());
+        body.push(b'u');
+        body.push(MODE_PRUNED);
+        body.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        let aux = sealed_aux(&body);
+        assert_eq!(aux.len(), 32);
+        assert!(matches!(
+            Checkpoint::from_bytes(&data, &aux),
+            Err(CkptError::Corrupt(m)) if m.contains("run count")
+        ));
+        // `nvars = u32::MAX` with nothing behind it.
+        let mut body = crate::writer::FORMAT_VERSION.to_le_bytes().to_vec();
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::from_bytes(&data, &sealed_aux(&body)),
+            Err(CkptError::Corrupt(m)) if m.contains("variable count")
+        ));
     }
 }

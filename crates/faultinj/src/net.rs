@@ -73,6 +73,12 @@ impl FaultProxy {
                         let _ = client.shutdown(Shutdown::Both);
                         continue;
                     };
+                    // Forward at wire speed: a proxy with Nagle on would
+                    // add delayed-ACK stalls the direct path does not
+                    // pay. A leg that refuses the option still forwards,
+                    // only slower.
+                    let _ = client.set_nodelay(true);
+                    let _ = server.set_nodelay(true);
                     let armed3 = armed2.clone();
                     let _ = std::thread::Builder::new()
                         .name("faultinj-pipe".into())

@@ -11,7 +11,7 @@
 //! the engine's next submission starts clean.
 
 use crate::proto::{
-    read_frame, write_frame, RejectReason, Request, Response, TenantStats, PROTO_VERSION,
+    read_frame, write_frame, Frame, RejectReason, Request, Response, TenantStats, PROTO_VERSION,
 };
 use crate::sock::{Endpoint, Stream};
 use scrutiny_ckpt::names::Tenant;
@@ -105,13 +105,13 @@ impl RemoteBackend {
     /// One request/response exchange. On any wire failure the connection
     /// is dropped (not returned to the pool) so no later operation can
     /// read a stale or torn response off it.
-    fn rpc(&self, req: &Request) -> Result<Response, CkptError> {
+    fn rpc(&self, frame: &Frame) -> Result<Response, CkptError> {
         let mut conn = match self.idle.lock().unwrap().pop() {
             Some(c) => c,
             None => self.dial()?,
         };
         let exchange = (|| -> io::Result<Response> {
-            write_frame(&mut conn, &req.encode())?;
+            write_frame(&mut conn, frame)?;
             Response::decode(&read_frame(&mut conn)?)
         })();
         match exchange {
@@ -125,7 +125,7 @@ impl RemoteBackend {
 
     /// Liveness probe.
     pub fn ping(&self) -> Result<(), CkptError> {
-        match self.rpc(&Request::Ping)? {
+        match self.rpc(&Request::Ping.encode())? {
             Response::Ok => Ok(()),
             other => Err(status_err(other)),
         }
@@ -133,7 +133,7 @@ impl RemoteBackend {
 
     /// This tenant's accounting, as the daemon sees it.
     pub fn stats(&self) -> Result<TenantStats, CkptError> {
-        match self.rpc(&Request::Stats)? {
+        match self.rpc(&Request::Stats.encode())? {
             Response::Stats(s) => Ok(s),
             other => Err(status_err(other)),
         }
@@ -152,7 +152,7 @@ impl RemoteBackend {
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
         };
-        match self.rpc(&req)? {
+        match self.rpc(&req.encode())? {
             Response::Ok => Ok(()),
             other => Err(status_err(other)),
         }
@@ -162,7 +162,7 @@ impl RemoteBackend {
     /// in-flight work, refuses new frames, and its accept loop exits;
     /// pair with [`crate::Daemon::join`] on the hosting side.
     pub fn shutdown_daemon(&self) -> Result<(), CkptError> {
-        match self.rpc(&Request::Shutdown)? {
+        match self.rpc(&Request::Shutdown.encode())? {
             Response::Ok => Ok(()),
             other => Err(status_err(other)),
         }
@@ -176,11 +176,7 @@ impl RemoteBackend {
 
 impl StorageBackend for RemoteBackend {
     fn put(&self, name: &str, bytes: &[u8]) -> Result<(), CkptError> {
-        let req = Request::Put {
-            name: name.to_string(),
-            bytes: bytes.to_vec(),
-        };
-        match self.rpc(&req)? {
+        match self.rpc(&Request::encode_put(name, bytes))? {
             Response::Ok => Ok(()),
             other => Err(status_err(other)),
         }
@@ -190,14 +186,14 @@ impl StorageBackend for RemoteBackend {
         let req = Request::Get {
             name: name.to_string(),
         };
-        match self.rpc(&req)? {
+        match self.rpc(&req.encode())? {
             Response::Bytes(b) => Ok(b),
             other => Err(status_err(other)),
         }
     }
 
     fn list(&self) -> Result<Vec<String>, CkptError> {
-        match self.rpc(&Request::List)? {
+        match self.rpc(&Request::List.encode())? {
             Response::Names(n) => Ok(n),
             other => Err(status_err(other)),
         }
@@ -207,7 +203,7 @@ impl StorageBackend for RemoteBackend {
         let req = Request::Delete {
             name: name.to_string(),
         };
-        match self.rpc(&req)? {
+        match self.rpc(&req.encode())? {
             Response::Ok => Ok(()),
             other => Err(status_err(other)),
         }

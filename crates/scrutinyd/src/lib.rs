@@ -57,6 +57,6 @@ pub mod server;
 mod sock;
 
 pub use client::RemoteBackend;
-pub use proto::{RejectReason, Request, Response, TenantStats, MAX_FRAME, PROTO_VERSION};
+pub use proto::{Frame, RejectReason, Request, Response, TenantStats, MAX_FRAME, PROTO_VERSION};
 pub use server::{Daemon, DaemonConfig, DEFAULT_TENANT_OBS};
 pub use sock::Endpoint;

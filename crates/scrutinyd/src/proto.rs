@@ -7,10 +7,13 @@
 //! Framing: `u32` little-endian payload length, then the payload; the
 //! payload's first byte is an opcode ([`Request`]) or status byte
 //! ([`Response`]), the rest is body. Strings are `u16` length + UTF-8;
-//! blobs are `u32` length + bytes; integers are little-endian. A length
-//! prefix above [`MAX_FRAME`] is rejected *before* any allocation —
-//! garbage on the wire becomes a typed [`std::io::ErrorKind::InvalidData`]
-//! error, not an OOM.
+//! blobs are `u32` length + bytes; integers are little-endian. Encoding
+//! produces a whole [`Frame`] (prefix included), which [`write_frame`]
+//! sends in one write. A length prefix above [`MAX_FRAME`] is rejected
+//! *before* any allocation, and a valid one only grows the receive
+//! buffer as payload bytes actually arrive — garbage on the wire becomes
+//! a typed [`std::io::ErrorKind::InvalidData`] or
+//! [`std::io::ErrorKind::UnexpectedEof`] error, not an OOM.
 
 use std::io::{self, Read, Write};
 
@@ -201,11 +204,39 @@ const ST_ERR: u8 = 0x92;
 // Primitive encoding.
 // --------------------------------------------------------------------------
 
+/// One encoded frame: the `u32` LE length prefix followed by the
+/// payload, ready for [`write_frame`] to send in a single write.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Frame(Vec<u8>);
+
+impl Frame {
+    /// The payload (the bytes after the length prefix) — what
+    /// [`read_frame`] returns on the receiving side.
+    pub fn payload(&self) -> &[u8] {
+        &self.0[4..]
+    }
+}
+
+/// Frame builder: reserves the length prefix up front and patches it in
+/// [`Enc::finish`], so a frame is one contiguous buffer.
 struct Enc(Vec<u8>);
 
 impl Enc {
     fn new(op: u8) -> Enc {
-        Enc(vec![op])
+        Enc::with_capacity(op, 0)
+    }
+    /// `body` is the expected body size, so a PUT's data is copied once
+    /// into a buffer that never reallocates.
+    fn with_capacity(op: u8, body: usize) -> Enc {
+        let mut buf = Vec::with_capacity(5 + body);
+        buf.extend_from_slice(&[0, 0, 0, 0, op]);
+        Enc(buf)
+    }
+    fn finish(mut self) -> Frame {
+        let n = self.0.len() - 4;
+        debug_assert!(n as u64 <= MAX_FRAME as u64, "frame above MAX_FRAME");
+        self.0[..4].copy_from_slice(&(n as u32).to_le_bytes());
+        Frame(self.0)
     }
     fn u16(&mut self, v: u16) {
         self.0.extend_from_slice(&v.to_le_bytes());
@@ -283,43 +314,62 @@ impl<'a> Dec<'a> {
 // Framing.
 // --------------------------------------------------------------------------
 
-/// Write one frame: `u32` LE payload length, then the payload.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+/// Write one whole frame with a single `write_all` — the length prefix
+/// never leaves in a segment of its own, which on TCP would wait for the
+/// peer's delayed ACK.
+pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+    w.write_all(&frame.0)?;
     w.flush()
 }
 
 /// Read one frame's payload. A length prefix above [`MAX_FRAME`] is
 /// [`std::io::ErrorKind::InvalidData`] — a garbage or corrupted prefix
-/// must not drive an allocation. A clean EOF before any byte of the
-/// prefix is [`std::io::ErrorKind::UnexpectedEof`] with message
+/// must not drive an allocation — and a valid prefix grows the buffer
+/// only with the bytes received (at most twice them, or 64 KiB), so a
+/// peer that announces 256 MiB and then stops costs kilobytes. A clean
+/// EOF before any byte of the prefix is
+/// [`std::io::ErrorKind::UnexpectedEof`] with message
 /// `"connection closed"` so callers can tell orderly close from a torn
-/// frame.
+/// frame, which is also `UnexpectedEof`.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    let mut first = [0u8; 1];
     // First byte separately: distinguishes "peer closed between frames"
     // from "frame torn mid-way".
-    match r.read(&mut first)? {
-        0 => {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed",
-            ))
-        }
-        _ => len[0] = first[0],
+    let mut first = [0u8; 1];
+    if r.read(&mut first)? == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed",
+        ));
     }
-    r.read_exact(&mut len[1..])?;
-    let n = u32::from_le_bytes(len);
+    read_frame_after(first[0], r)
+}
+
+/// Bytes reserved for a payload before any of it has arrived; beyond
+/// this the buffer doubles with the bytes actually received.
+const RECV_CHUNK: usize = 64 * 1024;
+
+/// [`read_frame`] for a frame whose first prefix byte, `first`, the
+/// caller already read (the daemon polls for it between frames).
+pub(crate) fn read_frame_after(first: u8, r: &mut impl Read) -> io::Result<Vec<u8>> {
+    let mut rest = [0u8; 3];
+    r.read_exact(&mut rest)?;
+    let n = u32::from_le_bytes([first, rest[0], rest[1], rest[2]]);
     if n > MAX_FRAME {
         return Err(bad(format!(
             "frame length {n:#x} exceeds the {MAX_FRAME:#x}-byte cap (corrupt length prefix?)"
         )));
     }
-    let mut payload = vec![0u8; n as usize];
-    r.read_exact(&mut payload)?;
+    let n = n as usize;
+    let mut payload = Vec::new();
+    while payload.len() < n {
+        // Grow with the bytes received: double, never past `n` (exact
+        // reservations, so a whole frame costs `n` bytes, not up to 2n).
+        let start = payload.len();
+        let grow = (n - start).min(start.max(RECV_CHUNK));
+        payload.reserve_exact(grow);
+        payload.resize(start + grow, 0);
+        r.read_exact(&mut payload[start..])?;
+    }
     Ok(payload)
 }
 
@@ -328,31 +378,26 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
 // --------------------------------------------------------------------------
 
 impl Request {
-    /// Encode into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Encode into a whole frame (length prefix + payload).
+    pub fn encode(&self) -> Frame {
         match self {
             Request::Hello { version, tenant } => {
                 let mut e = Enc::new(OP_HELLO);
                 e.u16(*version);
                 e.str(tenant);
-                e.0
+                e.finish()
             }
-            Request::Put { name, bytes } => {
-                let mut e = Enc::new(OP_PUT);
-                e.str(name);
-                e.blob(bytes);
-                e.0
-            }
+            Request::Put { name, bytes } => Request::encode_put(name, bytes),
             Request::Get { name } => {
                 let mut e = Enc::new(OP_GET);
                 e.str(name);
-                e.0
+                e.finish()
             }
-            Request::List => Enc::new(OP_LIST).0,
+            Request::List => Enc::new(OP_LIST).finish(),
             Request::Delete { name } => {
                 let mut e = Enc::new(OP_DELETE);
                 e.str(name);
-                e.0
+                e.finish()
             }
             Request::Mark { label, fields } => {
                 let mut e = Enc::new(OP_MARK);
@@ -362,12 +407,22 @@ impl Request {
                     e.str(k);
                     e.str(v);
                 }
-                e.0
+                e.finish()
             }
-            Request::Stats => Enc::new(OP_STATS).0,
-            Request::Ping => Enc::new(OP_PING).0,
-            Request::Shutdown => Enc::new(OP_SHUTDOWN).0,
+            Request::Stats => Enc::new(OP_STATS).finish(),
+            Request::Ping => Enc::new(OP_PING).finish(),
+            Request::Shutdown => Enc::new(OP_SHUTDOWN).finish(),
         }
+    }
+
+    /// Encode a PUT frame straight from borrowed data: the payload is
+    /// copied once, into the frame, instead of first into a
+    /// [`Request::Put`].
+    pub(crate) fn encode_put(name: &str, bytes: &[u8]) -> Frame {
+        let mut e = Enc::with_capacity(OP_PUT, 2 + name.len() + 4 + bytes.len());
+        e.str(name);
+        e.blob(bytes);
+        e.finish()
     }
 
     /// Decode a frame payload.
@@ -409,14 +464,14 @@ impl Request {
 // --------------------------------------------------------------------------
 
 impl Response {
-    /// Encode into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Encode into a whole frame (length prefix + payload).
+    pub fn encode(&self) -> Frame {
         match self {
-            Response::Ok => Enc::new(ST_OK).0,
+            Response::Ok => Enc::new(ST_OK).finish(),
             Response::Bytes(b) => {
-                let mut e = Enc::new(ST_BYTES);
+                let mut e = Enc::with_capacity(ST_BYTES, 4 + b.len());
                 e.blob(b);
-                e.0
+                e.finish()
             }
             Response::Names(names) => {
                 let mut e = Enc::new(ST_NAMES);
@@ -424,7 +479,7 @@ impl Response {
                 for n in names {
                     e.str(n);
                 }
-                e.0
+                e.finish()
             }
             Response::Stats(s) => {
                 let mut e = Enc::new(ST_STATS);
@@ -432,23 +487,23 @@ impl Response {
                 e.u64(s.objects);
                 e.u64(s.accepted_bytes);
                 e.u64(s.inflight_bytes);
-                e.0
+                e.finish()
             }
             Response::NotFound(m) => {
                 let mut e = Enc::new(ST_NOT_FOUND);
                 e.str(m);
-                e.0
+                e.finish()
             }
             Response::Rejected { reason, message } => {
                 let mut e = Enc::new(ST_REJECTED);
                 e.str(reason.code());
                 e.str(message);
-                e.0
+                e.finish()
             }
             Response::Err(m) => {
                 let mut e = Enc::new(ST_ERR);
                 e.str(m);
-                e.0
+                e.finish()
             }
         }
     }
@@ -572,16 +627,64 @@ mod tests {
 
     #[test]
     fn trailing_or_truncated_payloads_are_rejected() {
-        let mut p = Request::Ping.encode();
+        let mut p = Request::Ping.encode().payload().to_vec();
         p.push(0);
         assert!(Request::decode(&p).is_err());
-        let p = Request::Put {
+        let f = Request::Put {
             name: "x".into(),
             bytes: vec![1, 2, 3],
         }
         .encode();
+        let p = f.payload();
         assert!(Request::decode(&p[..p.len() - 1]).is_err());
         assert!(Request::decode(&[0x7F]).is_err());
         assert!(Response::decode(&[0x00]).is_err());
+    }
+
+    /// A writer that records how many `write` calls a frame took.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_per_frame() {
+        let frames = [
+            Request::Ping.encode(),
+            Request::encode_put("ckpt_000001.data", &[5; 70_000]),
+            Response::Bytes(vec![6; 3]).encode(),
+            Response::Ok.encode(),
+        ];
+        for frame in &frames {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, frame).unwrap();
+            assert_eq!(w.writes, 1, "one write per frame");
+            let payload = read_frame(&mut w.bytes.as_slice()).unwrap();
+            assert_eq!(payload, frame.payload());
+        }
+    }
+
+    #[test]
+    fn borrowed_put_encodes_like_an_owned_put() {
+        let owned = Request::Put {
+            name: "ckpt_000002.aux".into(),
+            bytes: vec![1, 2, 3, 4],
+        };
+        assert_eq!(
+            Request::encode_put("ckpt_000002.aux", &[1, 2, 3, 4]),
+            owned.encode()
+        );
     }
 }

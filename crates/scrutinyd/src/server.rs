@@ -26,7 +26,7 @@
 //! publish / marker history in it.
 
 use crate::proto::{
-    write_frame, RejectReason, Request, Response, TenantStats, MAX_FRAME, PROTO_VERSION,
+    read_frame_after, write_frame, RejectReason, Request, Response, TenantStats, PROTO_VERSION,
 };
 use crate::sock::{Endpoint, Stream};
 use scrutiny_ckpt::names::{self, Tenant};
@@ -66,7 +66,7 @@ pub struct DaemonConfig {
     pub max_inflight_bytes: Option<u64>,
     /// Per-object payload cap; larger PUTs are refused with
     /// `object_too_large`. `None` = no cap (frames are still bounded by
-    /// [`MAX_FRAME`]).
+    /// [`MAX_FRAME`](crate::MAX_FRAME)).
     pub max_object_bytes: Option<u64>,
     /// Per-tenant cap on *committed* checkpoint versions; a PUT that
     /// would commit a version beyond it is refused with `version_quota`.
@@ -145,7 +145,15 @@ enum Listener {
 impl Listener {
     fn accept(&self) -> io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => Ok(Stream::Tcp(l.accept()?.0)),
+            Listener::Tcp(l) => {
+                let s = l.accept()?.0;
+                // Request/response frames must not wait out Nagle. A
+                // socket that refuses the option is still served (only
+                // slower): one connection's failure must not stop the
+                // accept loop.
+                let _ = s.set_nodelay(true);
+                Ok(Stream::Tcp(s))
+            }
             #[cfg(unix)]
             Listener::Unix(l) => Ok(Stream::Unix(l.accept()?.0)),
         }
@@ -386,20 +394,7 @@ fn read_frame_polled(shared: &Shared, stream: &mut Stream) -> Option<Vec<u8>> {
     };
     // Committed to a frame: finish it under a bounded timeout.
     let _ = stream.set_read_timeout(Some(FRAME_TIMEOUT));
-    let result = (|| -> io::Result<Vec<u8>> {
-        let mut rest = [0u8; 3];
-        stream.read_exact(&mut rest)?;
-        let n = u32::from_le_bytes([first, rest[0], rest[1], rest[2]]);
-        if n > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame length {n:#x} exceeds cap"),
-            ));
-        }
-        let mut payload = vec![0u8; n as usize];
-        stream.read_exact(&mut payload)?;
-        Ok(payload)
-    })();
+    let result = read_frame_after(first, stream);
     let _ = stream.set_read_timeout(Some(POLL));
     result.ok()
 }
@@ -642,4 +637,25 @@ fn handle_stats(sess: &Session) -> Response {
         accepted_bytes: sess.state.accepted_bytes.load(Ordering::Relaxed),
         inflight_bytes: sess.state.inflight_bytes.load(Ordering::Relaxed),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tcp_streams_have_nodelay_on_both_ends() {
+        let tcp = TcpListener::bind("127.0.0.1:0").unwrap();
+        let endpoint = Endpoint::Tcp(tcp.local_addr().unwrap().to_string());
+        let listener = Listener::Tcp(tcp);
+        let nodelay = |s: &Stream| match s {
+            Stream::Tcp(s) => s.nodelay().unwrap(),
+            #[cfg(unix)]
+            Stream::Unix(_) => unreachable!("dialed over TCP"),
+        };
+        let client = Stream::connect(&endpoint).unwrap();
+        let served = listener.accept().unwrap();
+        assert!(nodelay(&client), "connected stream lacks TCP_NODELAY");
+        assert!(nodelay(&served), "accepted stream lacks TCP_NODELAY");
+    }
 }

@@ -35,7 +35,13 @@ pub(crate) enum Stream {
 impl Stream {
     pub(crate) fn connect(endpoint: &Endpoint) -> io::Result<Stream> {
         match endpoint {
-            Endpoint::Tcp(addr) => Ok(Stream::Tcp(TcpStream::connect(addr)?)),
+            Endpoint::Tcp(addr) => {
+                let s = TcpStream::connect(addr)?;
+                // One whole frame per write plus TCP_NODELAY: a request
+                // never waits for the peer's delayed ACK.
+                s.set_nodelay(true)?;
+                Ok(Stream::Tcp(s))
+            }
             #[cfg(unix)]
             Endpoint::Unix(path) => {
                 Ok(Stream::Unix(std::os::unix::net::UnixStream::connect(path)?))

@@ -177,3 +177,24 @@ fn draining_daemon_refuses_new_sessions() {
     }
     daemon.join().unwrap();
 }
+
+/// Sequential request/response over loopback TCP runs at wire speed.
+/// With Nagle's algorithm on and the length prefix sent as its own
+/// segment, each round trip waited out the peer's delayed ACK (≥ 40 ms,
+/// so ≥ 8 s for 200); at wire speed 200 PINGs take milliseconds.
+#[test]
+fn tcp_round_trips_do_not_wait_for_delayed_acks() {
+    let pool = Arc::new(scrutiny_engine::MemBackend::new());
+    let daemon = Daemon::spawn_tcp("127.0.0.1:0", pool, DaemonConfig::default()).unwrap();
+    let remote = RemoteBackend::connect(daemon.endpoint(), None).unwrap();
+    let start = std::time::Instant::now();
+    for _ in 0..200 {
+        remote.ping().unwrap();
+    }
+    let took = start.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "200 sequential PINGs took {took:?}"
+    );
+    daemon.join().unwrap();
+}
